@@ -1,8 +1,8 @@
 /**
  * @file
  * Fleet co-simulation bench: router policies x arrival scenarios x
- * replica counts (core/fleet.hh + core/workload.hh), on the
- * event-driven kernel by default.
+ * replica counts (core/fleet.hh + core/workload.hh) on the
+ * event-driven kernel.
  *
  * Sweeps control policies (estimate-based and feedback routing,
  * optionally composed with a stealing policy via --stealer) over
@@ -29,7 +29,6 @@
  * 32-replica / 2000-request configuration ROADMAP asks for.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -50,7 +49,6 @@ struct Sweep
     std::vector<sched::RouterPolicy> policies;
     std::vector<std::uint32_t> fleetSizes;
     std::vector<serving::ScenarioConfig> scenarios;
-    fleet::FleetKernel kernel = fleet::FleetKernel::EventDriven;
     std::string stealer; ///< "" = none; else a registry name.
     Seconds ttftDeadline = 1.5;
     std::uint32_t maxBatch = 8;
@@ -91,7 +89,6 @@ fleetConfig(const Sweep &sweep, const SystemConfig &platform,
     fleet::FleetConfig config = fleet::uniformFleet(
         replicas, platform, replicaServing(sweep), policy,
         sweep.ttftDeadline);
-    config.kernel = sweep.kernel;
     if (!sweep.stealer.empty())
         config.control = sched::controlPolicyByName(
             sched::routerPolicyName(policy) + "+" + sweep.stealer);
@@ -198,10 +195,6 @@ main(int argc, char **argv)
         "mean arrival rate (req/s; sessions/s for multiturn)");
     const std::uint64_t seed =
         args.u64("seed", 17, "trace seed (full 64-bit range)");
-    const std::string kernel_name = args.str(
-        "kernel", "event", "co-simulation core: event|two-phase");
-    const bool steal = args.flag(
-        "steal", "[deprecated] same as --stealer greedy-steal");
     std::string stealer = args.str(
         "stealer", "none",
         "auxiliary policy composed with the router: "
@@ -234,8 +227,6 @@ main(int argc, char **argv)
 
     if (stealer == "none")
         stealer.clear();
-    if (steal && stealer.empty())
-        stealer = "greedy-steal";
     if (!stealer.empty()) {
         // Validate against the registry itself so new stealing
         // policies work here the day they land; reject routing
@@ -272,12 +263,6 @@ main(int argc, char **argv)
         // the open-loop sweep: KV-affinity routing against jsq and
         // true-jsq on a uniform fleet, scored on the end-to-end
         // turn latency a conversation actually blocks on.
-        if (fleet::fleetKernelByName(kernel_name) !=
-            fleet::FleetKernel::EventDriven) {
-            std::fprintf(stderr, "multiturn sessions need "
-                                 "--kernel event\n");
-            return 2;
-        }
         const auto llm = model::modelByName("OPT-13B");
         const SystemConfig platform = benchPlatform();
         const auto trace = serving::generateSessionWorkload(
@@ -366,7 +351,6 @@ main(int argc, char **argv)
             JsonObject json;
             json.set("bench", "bench_fleet");
             json.set("tier", tier);
-            json.set("kernel", "event");
             json.set("model", "OPT-13B");
             json.set("cost_model",
                      serving::costModelName(cost_model));
@@ -418,12 +402,6 @@ main(int argc, char **argv)
         // for the peak only while it lasts.  Scored on total
         // replica-seconds and cost per completed request, the
         // autoscaling cost accounting the kernel now tracks.
-        if (fleet::fleetKernelByName(kernel_name) !=
-            fleet::FleetKernel::EventDriven) {
-            std::fprintf(stderr, "the autoscale tier needs "
-                                 "--kernel event\n");
-            return 2;
-        }
         const auto llm = model::modelByName("OPT-13B");
         const SystemConfig platform = benchPlatform();
         serving::ScenarioConfig scenario =
@@ -508,7 +486,6 @@ main(int argc, char **argv)
             json.set("bench", "bench_fleet");
             json.set("tier",
                      smoke ? "autoscale-smoke" : "autoscale");
-            json.set("kernel", "event");
             json.set("model", "OPT-13B");
             json.set("cost_model",
                      serving::costModelName(cost_model));
@@ -563,7 +540,6 @@ main(int argc, char **argv)
     }
 
     Sweep sweep;
-    sweep.kernel = fleet::fleetKernelByName(kernel_name);
     sweep.stealer = stealer;
     sweep.cost = cost_model;
     if (policy_name == "all") {
@@ -572,22 +548,8 @@ main(int argc, char **argv)
             sweep.policies = {sched::RouterPolicy::RoundRobin,
                               sched::RouterPolicy::JoinShortestQueue,
                               sched::RouterPolicy::TrueJsq};
-        if (sweep.kernel == fleet::FleetKernel::TwoPhase) {
-            // Feedback policies need the event kernel.
-            std::erase_if(sweep.policies,
-                          sched::routerPolicyNeedsObservations);
-        }
     } else {
         sweep.policies = {sched::routerPolicyByName(policy_name)};
-    }
-    if (sweep.kernel == fleet::FleetKernel::TwoPhase &&
-        (!sweep.stealer.empty() ||
-         std::any_of(sweep.policies.begin(), sweep.policies.end(),
-                     sched::routerPolicyNeedsObservations))) {
-        std::fprintf(stderr,
-                     "feedback policies and stealing need "
-                     "--kernel event\n");
-        return 2;
     }
     sweep.fleetSizes = replicas > 0
                            ? std::vector<std::uint32_t>{replicas}
@@ -608,9 +570,8 @@ main(int argc, char **argv)
     const SystemConfig platform = benchPlatform();
 
     banner("Fleet", "policy x scenario x replicas, OPT-13B");
-    std::printf("kernel: %s%s%s; deadline: TTFT <= %.2fs; "
+    std::printf("kernel: event%s%s; deadline: TTFT <= %.2fs; "
                 "%u requests at %.1f req/s\n",
-                fleet::fleetKernelName(sweep.kernel).c_str(),
                 sweep.stealer.empty() ? "" : " + ",
                 sweep.stealer.c_str(), sweep.ttftDeadline,
                 requests, rate);
@@ -666,8 +627,6 @@ main(int argc, char **argv)
         JsonObject json;
         json.set("bench", "bench_fleet");
         json.set("tier", tier);
-        json.set("kernel",
-                 fleet::fleetKernelName(sweep.kernel));
         json.set("model", "OPT-13B");
         json.set("cost_model",
                  serving::costModelName(cost_model));
@@ -696,7 +655,10 @@ main(int argc, char **argv)
         return json_ok ? 0 : 1;
     }
 
-    if (sweep.kernel == fleet::FleetKernel::EventDriven) {
+    {
+        // Policy-comparison sections, scoped so their fleets and
+        // traces stay separate from the sweep's.
+        //
         // SLO-aware stealing vs the occupancy-greedy heuristic on
         // a heterogeneous fleet: a fast Hermes replica beside an
         // Accelerate tier whose prefill alone misses the deadline.

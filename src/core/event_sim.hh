@@ -80,9 +80,9 @@ enum class EventKind : std::uint8_t
     /**
      * A session's follow-up turn arrives: scheduled at the previous
      * turn's completion + think time (fleet-level event; its id is
-     * the follow-up's workload index).  Only session runs emit it —
-     * arrival times that depend on completion times are exactly
-     * what the open-loop two-phase path cannot express.
+     * the follow-up's workload index).  Only session runs emit it:
+     * their arrival times depend on completion times, so they
+     * cannot be laid out before the run.
      */
     SessionContinue = 7,
 

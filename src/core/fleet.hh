@@ -28,11 +28,6 @@
  *     aggregate throughput (the sum over replicas), fleet-wide TTFT
  *     percentiles, and SLO attainment against the TTFT deadline.
  *
- * The pre-kernel two-phase path (route everything up front from the
- * estimate, then replay each replica in isolation) is kept behind
- * FleetKernel::TwoPhase; on estimate-based policies both kernels
- * produce bit-identical reports, which the tests pin.
- *
  * Replica ServingSimulators (and their calibrated cost caches)
  * persist across run() calls, so sweeping scenarios over one fleet
  * re-simulates engines only for unseen (batch, context) buckets.
@@ -59,6 +54,9 @@
 
 namespace hermes::fleet {
 
+/** The calibration operating point a workload implies (fleet.cc). */
+struct WorkloadShape;
+
 /** One replica: a platform plus its serving policy/engine. */
 struct ReplicaConfig
 {
@@ -67,47 +65,20 @@ struct ReplicaConfig
     serving::ServingConfig serving{};
 };
 
-/** Which co-simulation core drives the fleet. */
-enum class FleetKernel
-{
-    /** Event-driven: routing at arrival events, shared clock. */
-    EventDriven,
-
-    /** PR 2 compatibility: route all up front, replay in isolation. */
-    TwoPhase,
-};
-
-/** Display name ("event" / "two-phase"). */
-std::string fleetKernelName(FleetKernel kernel);
-
-/** Parse a display name back to a kernel; throws on unknown names. */
-FleetKernel fleetKernelByName(const std::string &name);
-
 /** Fleet topology and control plane. */
 struct FleetConfig
 {
     std::vector<ReplicaConfig> replicas;
 
     /**
-     * First-class control plane (sched/control_policy.hh): an
+     * The control plane (sched/control_policy.hh): an
      * event-subscribed policy object owning every placement,
      * shedding, and stealing decision.  Build one with
      * `sched::controlPolicyByName("least-tokens+slo-steal")` or
-     * compose your own.  Event-driven kernel only.
-     *
-     * When unset (nullptr), the deprecated `policy` /
-     * `workStealing` fields below are adapted onto the same API —
-     * bit-identical to the pre-control-plane kernel.
+     * compose your own.  Required: FleetSimulator rejects a null
+     * policy at construction.
      */
     std::shared_ptr<sched::ControlPolicy> control;
-
-    /**
-     * [deprecated — stable] Routing behavior when `control` is
-     * unset.  Kept as a thin adapter over the ControlPolicy API
-     * (`sched::makeRouterPolicy`); prefer `control`.
-     */
-    sched::RouterPolicy policy =
-        sched::RouterPolicy::JoinShortestQueue;
 
     /**
      * TTFT service-level objective.  SloAware sheds requests whose
@@ -117,31 +88,16 @@ struct FleetConfig
     Seconds ttftDeadline = 2.0;
 
     /**
-     * Co-simulation core.  Feedback policies (true-jsq,
-     * least-backlog) and work stealing require EventDriven; asking
-     * for them under TwoPhase throws at run().
-     */
-    FleetKernel kernel = FleetKernel::EventDriven;
-
-    /**
-     * [deprecated — stable] Work stealing when `control` is unset
-     * (EventDriven only): when a replica runs dry it steals up to
-     * half of the most backlogged replica's queued — never running
-     * — requests, newest arrivals first, capped at its own batch
-     * size.  Kept as a thin adapter over the ControlPolicy API
-     * (`sched::makeGreedyStealPolicy`); prefer composing `control`
-     * with "greedy-steal" or "slo-steal".
-     */
-    bool workStealing = false;
-
-    /**
      * Threads for router calibration across replicas (0 = one per
      * replica, capped at the hardware concurrency).
      */
     std::uint32_t calibrationThreads = 0;
 };
 
-/** `count` identical replicas behind the given policy. */
+/**
+ * `count` identical replicas, controlled by the built-in routing
+ * policy `sched::makeRouterPolicy(policy)`.
+ */
 FleetConfig uniformFleet(std::uint32_t count,
                          const runtime::SystemConfig &system,
                          const serving::ServingConfig &serving,
@@ -161,7 +117,7 @@ Seconds kvMigrationSeconds(const runtime::SystemConfig &system,
                            const model::LlmConfig &llm,
                            std::uint64_t context_tokens);
 
-/** What the event kernel did during one run (zero under TwoPhase). */
+/** What the event kernel did during one run. */
 struct KernelStats
 {
     sim::EventStats events;
@@ -217,7 +173,6 @@ struct KernelStats
 struct FleetReport
 {
     std::string policy;
-    std::string kernel; ///< "event" or "two-phase".
     Seconds ttftDeadline = 0.0;
 
     /**
@@ -304,6 +259,10 @@ Seconds latencyPercentile(const FleetReport &report, double p,
 class FleetSimulator
 {
   public:
+    /**
+     * Throws std::invalid_argument when `config` has no replicas or
+     * no control policy.
+     */
     FleetSimulator(FleetConfig config, model::LlmConfig llm);
 
     /**
@@ -317,8 +276,8 @@ class FleetSimulator
      * Serve a multi-turn session trace (core/workload.hh).  Only
      * each session's first turn is scheduled up front; every
      * follow-up turn arrives think-time after its predecessor
-     * completes — a closed-loop arrival process only the
-     * event-driven kernel can express, so TwoPhase throws.
+     * completes — a closed-loop arrival process on the shared
+     * virtual clock.
      * Follow-up turns whose predecessor was shed or rejected never
      * arrive and are reported as rejected (the conversation ended).
      */
@@ -328,24 +287,15 @@ class FleetSimulator
 
   private:
     /**
-     * Calibrate the router's view of replica `index` at the
+     * Calibrate the router's view of every replica at the
      * workload's typical prompt length and decode context, and
-     * warm the replica's cost cache across the batch ramp up to
-     * the workload's maximum prompt/context so the event loop
-     * itself runs on cache hits.
+     * warm each cost cache across the batch ramp up to the
+     * workload's maximum prompt/context so the event loop itself
+     * runs on cache hits.  Cache-group leaders calibrate in
+     * parallel across a thread pool.
      */
-    sched::ReplicaModel calibrate(std::size_t index,
-                                  std::uint64_t typical_prompt,
-                                  std::uint64_t typical_context,
-                                  std::uint64_t max_prompt,
-                                  std::uint64_t max_context);
-
-    /** Calibrate all replicas, in parallel across a thread pool. */
     std::vector<sched::ReplicaModel>
-    calibrateAll(std::uint64_t typical_prompt,
-                 std::uint64_t typical_context,
-                 std::uint64_t max_prompt,
-                 std::uint64_t max_context);
+    calibrateAll(const WorkloadShape &shape);
 
     /**
      * Pre-warm every cache group's cost surface across the batch
@@ -369,30 +319,16 @@ class FleetSimulator
     double totalCalibrationSeconds() const;
 
     /**
-     * The event-driven co-simulation core.  The workload-shape
-     * scalars carry the calibration operating point into the kernel
-     * so replicas spawned mid-run calibrate and warm against the
-     * same shape the configured fleet did.  `sessions` (with its
-     * parallel mutable `workload` copy) switches the kernel into
-     * session mode: first turns only are preloaded, follow-ups are
-     * scheduled as SessionContinue events at done + think.
+     * The body both run() overloads share: calibrate, drive the
+     * event kernel, bill calibration, drop spawned replicas, and
+     * merge.  `sessions` switches the kernel into session mode —
+     * first turns only are preloaded, follow-ups are scheduled as
+     * SessionContinue events at done + think, and their arrival
+     * instants are written back into `workload`.
      */
-    void runEventDriven(
-        FleetReport &report,
-        const std::vector<serving::ServedRequest> &workload,
-        std::vector<sched::ReplicaModel> models,
-        sched::ControlPolicy &control,
-        std::uint64_t typical_prompt, std::uint64_t typical_context,
-        std::uint64_t max_prompt, std::uint64_t max_context,
-        const serving::SessionTrace *sessions = nullptr,
-        std::vector<serving::ServedRequest> *mutable_workload =
-            nullptr);
-
-    /** The PR 2 compatibility path (route, then replay). */
-    void runTwoPhase(
-        FleetReport &report,
-        const std::vector<serving::ServedRequest> &workload,
-        std::vector<sched::ReplicaModel> models);
+    FleetReport
+    runKernel(std::vector<serving::ServedRequest> &workload,
+              const serving::SessionTrace *sessions);
 
     /**
      * Join replica report rows back to the trace by request id and

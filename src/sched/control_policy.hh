@@ -7,7 +7,7 @@
  * through the event kernel, work stealing a bool with one fixed
  * occupancy-greedy heuristic, and each new behavior (SLO-aware
  * stealing, autoscaling, preemption) would have needed another enum
- * value or flag inside FleetSimulator::runEventDriven.  The control
+ * value or flag inside the fleet's event kernel.  The control
  * plane inverts that: the kernel owns *physics* (the virtual clock,
  * replica boundaries, report bookkeeping) and a ControlPolicy owns
  * *decisions*.  A policy subscribes to kernel events —
@@ -33,13 +33,12 @@
  * arrival events unless kObservations is declared, and never calls
  * hooks the policy did not subscribe to.
  *
- * All six legacy RouterPolicy behaviors and the occupancy-greedy
- * stealing heuristic are built-in ControlPolicy implementations
- * behind a name registry (controlPolicyByName, mirroring
- * engineKindByName); the old FleetConfig enum/bool path is a thin
- * adapter over them and stays bit-identical (pinned by the golden
- * and event-vs-two-phase equivalence tests).  The first policy the
- * old surface could not express is SloStealPolicy ("slo-steal"):
+ * All six RouterPolicy behaviors and the occupancy-greedy stealing
+ * heuristic are built-in ControlPolicy implementations behind a
+ * name registry (controlPolicyByName, mirroring engineKindByName);
+ * FleetConfig::control is the only way a fleet is configured, and
+ * fleet::uniformFleet fills it with makeRouterPolicy.  The first
+ * policy a bare RouterPolicy enum could not express is SloStealPolicy ("slo-steal"):
  * steal only when the thief's estimated TTFT for the stolen request
  * beats the victim's.
  */
@@ -499,9 +498,8 @@ class CompositeControlPolicy : public ControlPolicy
 
 /**
  * A routing policy over the calibrated Router (sched/router.hh):
- * the six legacy RouterPolicy behaviors as ControlPolicy objects.
- * Bit-identical to the pre-API kernel by construction — the same
- * Router makes the same decisions from the same inputs.
+ * the six RouterPolicy behaviors as ControlPolicy objects, and what
+ * fleet::uniformFleet installs as FleetConfig::control.
  */
 std::shared_ptr<ControlPolicy> makeRouterPolicy(RouterPolicy policy);
 

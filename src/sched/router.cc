@@ -199,16 +199,14 @@ Router::route(Seconds arrival, std::uint32_t generate_tokens,
 {
     const auto n =
         static_cast<std::uint32_t>(replicas_.size());
-    // Feedback policies need one observation per replica; without
-    // them (the offline two-phase path) degrade to the estimate
-    // twin rather than routing on garbage.
-    RouterPolicy policy = policy_;
-    if (routerPolicyNeedsObservations(policy) &&
-        (observed == nullptr || observed->size() != n)) {
-        policy = policy == RouterPolicy::TrueJsq
-                     ? RouterPolicy::JoinShortestQueue
-                     : RouterPolicy::LeastOutstandingTokens;
-    }
+    // Feedback policies rank by one observation per replica; the
+    // event kernel always gathers them for a policy that wants
+    // kObservations, so a missing or short vector is a caller bug.
+    if (routerPolicyNeedsObservations(policy_) &&
+        (observed == nullptr || observed->size() != n))
+        throw std::logic_error(
+            "Router::route: " + routerPolicyName(policy_) +
+            " needs one observation per replica");
     // With a mask and no eligible replica there is nowhere legal to
     // send the request: shed.  (With at least one eligible replica
     // every ranking below finds a candidate, since the first
@@ -227,7 +225,7 @@ Router::route(Seconds arrival, std::uint32_t generate_tokens,
         }
     }
     std::uint32_t chosen = 0;
-    switch (policy) {
+    switch (policy_) {
     case RouterPolicy::RoundRobin:
         chosen = static_cast<std::uint32_t>(routed_ % n);
         // The cursor position may be masked: take the next eligible

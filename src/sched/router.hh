@@ -23,8 +23,7 @@
  *    calibrated estimate they rank replicas by *observed* state
  *    (actual occupancy / actual token backlog), which the fleet's
  *    event kernel samples at the arrival instant and passes into
- *    route().  Without observations (the offline two-phase path)
- *    they degrade to their estimate twins.
+ *    route().  Routing them without observations is a logic error.
  *
  * The model is an estimate: the replica's own ServingSimulator run
  * remains the ground truth for timing.  Estimates only decide *where*
@@ -32,11 +31,10 @@
  * feedback policies replace the estimate with ground truth at the
  * decision instant, closing the loop the estimate approximates.
  *
- * Since the control-plane redesign (sched/control_policy.hh) the
- * Router is the calibrated *estimator* behind the built-in routing
- * ControlPolicy objects; configuring a fleet by RouterPolicy enum
- * (FleetConfig::policy) is deprecated-but-stable — prefer
- * `controlPolicyByName` / `FleetConfig::control`.
+ * The Router is the calibrated *estimator* behind the built-in
+ * routing ControlPolicy objects (sched/control_policy.hh); a fleet
+ * is configured through `FleetConfig::control`, e.g. with
+ * `controlPolicyByName` or `makeRouterPolicy`.
  *
  * Calibration probes go through ServingSimulator's cost surface, so
  * the router automatically shares whatever cost model the replica is
@@ -167,8 +165,8 @@ class Router
      * provided, carries one ground-truth ReplicaObservation per
      * replica, sampled at this instant; the feedback policies
      * (TrueJsq, LeastActualBacklog) rank by it and every other
-     * policy ignores it.  A feedback policy routed without
-     * observations falls back to its estimate twin.
+     * policy ignores it.  Throws std::logic_error when a feedback
+     * policy gets no vector or one of the wrong size.
      *
      * `eligible`, when provided, restricts every ranking to the
      * replicas whose entry is non-zero — how the control plane

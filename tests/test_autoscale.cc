@@ -19,6 +19,7 @@
 #include "core/fleet.hh"
 #include "core/hermes.hh"
 #include "core/workload.hh"
+#include "fleet_invariants.hh"
 
 namespace hermes::fleet {
 namespace {
@@ -44,51 +45,6 @@ smallTrace(std::uint32_t requests = 12, double rate = 8.0,
     scenario.generate = {8, 4, 0.0, 1.0};
     scenario.seed = seed;
     return serving::generateWorkload(scenario);
-}
-
-/** The per-request / aggregate invariants every run must satisfy. */
-void
-checkReportInvariants(const FleetReport &report,
-                      std::size_t trace_size)
-{
-    EXPECT_EQ(report.requests.size(), trace_size);
-    EXPECT_EQ(report.assignment.size(), trace_size);
-
-    std::uint64_t completed = 0;
-    std::uint64_t rejected = 0;
-    for (std::size_t i = 0; i < report.requests.size(); ++i) {
-        const serving::RequestMetrics &request =
-            report.requests[i];
-        if (request.rejected) {
-            ++rejected;
-        } else {
-            ++completed;
-            EXPECT_LE(request.arrival, request.admitted);
-            EXPECT_LE(request.admitted, request.firstToken);
-            EXPECT_LE(request.firstToken, request.completed);
-            EXPECT_GE(report.assignment[i], 0);
-        }
-    }
-    EXPECT_EQ(report.completed, completed);
-    EXPECT_EQ(report.rejected, rejected);
-    EXPECT_EQ(report.completed + report.rejected, trace_size);
-
-    // The cost accounting must cohere: one active-seconds entry per
-    // replica report, the fleet total is exactly their sum, and
-    // cost-per-request is that total over the completions.
-    ASSERT_EQ(report.replicaActiveSeconds.size(),
-              report.replicaReports.size());
-    double replica_seconds = 0.0;
-    for (const Seconds active : report.replicaActiveSeconds) {
-        EXPECT_GE(active, 0.0);
-        replica_seconds += active;
-    }
-    EXPECT_DOUBLE_EQ(report.replicaSeconds, replica_seconds);
-    if (report.completed > 0) {
-        EXPECT_DOUBLE_EQ(report.costPerRequest,
-                         report.replicaSeconds /
-                             static_cast<double>(report.completed));
-    }
 }
 
 /**

@@ -4,14 +4,17 @@
  * invariants, heterogeneous fleets, and seed-for-seed determinism.
  */
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/fleet.hh"
 #include "core/hermes.hh"
 #include "core/workload.hh"
+#include "fleet_invariants.hh"
 
 namespace hermes::fleet {
 namespace {
@@ -47,57 +50,6 @@ uniformSimulator(std::uint32_t replicas, sched::RouterPolicy policy,
         uniformFleet(replicas, fastConfig(4), fastServing(), policy,
                      deadline),
         model::opt13b());
-}
-
-/** The per-request / aggregate invariants every run must satisfy. */
-void
-checkReportInvariants(const FleetReport &report,
-                      std::size_t trace_size)
-{
-    EXPECT_EQ(report.requests.size(), trace_size);
-    EXPECT_EQ(report.assignment.size(), trace_size);
-
-    std::uint64_t completed = 0;
-    std::uint64_t rejected = 0;
-    for (std::size_t i = 0; i < report.requests.size(); ++i) {
-        const serving::RequestMetrics &request =
-            report.requests[i];
-        if (request.rejected) {
-            ++rejected;
-            // Rejected (or shed) => no lifecycle timestamps.
-            EXPECT_DOUBLE_EQ(request.admitted, 0.0);
-            EXPECT_DOUBLE_EQ(request.firstToken, 0.0);
-            EXPECT_DOUBLE_EQ(request.completed, 0.0);
-            EXPECT_EQ(request.tokens, 0u);
-        } else {
-            ++completed;
-            EXPECT_LE(request.arrival, request.admitted);
-            EXPECT_LE(request.admitted, request.firstToken);
-            EXPECT_LE(request.firstToken, request.completed);
-            EXPECT_GE(report.assignment[i], 0);
-        }
-        if (report.assignment[i] < 0) {
-            EXPECT_TRUE(request.rejected);
-        }
-    }
-    EXPECT_EQ(report.completed, completed);
-    EXPECT_EQ(report.rejected, rejected);
-    EXPECT_EQ(report.completed + report.rejected, trace_size);
-    EXPECT_LE(report.shed, report.rejected);
-
-    // Fleet aggregates are exactly the replica aggregates.
-    double throughput = 0.0;
-    Seconds makespan = 0.0;
-    std::uint64_t replica_completed = 0;
-    for (const serving::ServingReport &replica :
-         report.replicaReports) {
-        throughput += replica.throughputTps;
-        makespan = std::max(makespan, replica.makespan);
-        replica_completed += replica.completed;
-    }
-    EXPECT_DOUBLE_EQ(report.throughputTps, throughput);
-    EXPECT_DOUBLE_EQ(report.makespan, makespan);
-    EXPECT_EQ(report.completed, replica_completed);
 }
 
 TEST(Fleet, InvariantsHoldForEveryPolicy)
@@ -199,7 +151,7 @@ TEST(Fleet, StateAwarePoliciesStarveADeadReplica)
 
     // SLO-aware estimates the dead replica's TTFT as effectively
     // infinite and never picks it: everything is served.
-    config.policy = sched::RouterPolicy::SloAware;
+    config.control = sched::controlPolicyByName("slo-aware");
     {
         FleetSimulator simulator(config, model::opt13b());
         const auto report = simulator.run(trace);
@@ -211,7 +163,7 @@ TEST(Fleet, StateAwarePoliciesStarveADeadReplica)
     // Least-outstanding-tokens is speed-blind by design, but the
     // dead replica's backlog never drains, so the router backs off
     // after a few requests instead of splitting the trace evenly.
-    config.policy = sched::RouterPolicy::LeastOutstandingTokens;
+    config.control = sched::controlPolicyByName("least-tokens");
     {
         FleetSimulator simulator(config, model::opt13b());
         const auto report = simulator.run(trace);
@@ -329,13 +281,15 @@ expectIdenticalReports(const FleetReport &a, const FleetReport &b)
     }
 }
 
-TEST(EventKernel, MatchesTwoPhaseOnEveryEstimatePolicy)
+TEST(EventKernel, MatchesIsolatedReplayOnEveryEstimatePolicy)
 {
-    // The tentpole equivalence: on estimate-based policies the
-    // event-driven kernel must reproduce the two-phase path's
-    // per-request metrics exactly — the routing decisions are
-    // identical and each replica's boundary arithmetic is the same
-    // float sequence, merely interleaved on the shared clock.
+    // Per-replica physics on the shared clock equals isolated
+    // replay: on estimate-based policies, replaying the requests
+    // the fleet assigned to each replica on a fresh
+    // ServingSimulator with that replica's config must reproduce
+    // the fleet's per-request rows exactly — each replica's
+    // boundary arithmetic is the same float sequence, merely
+    // interleaved with the others on the shared clock.
     for (const auto policy :
          {sched::RouterPolicy::RoundRobin,
           sched::RouterPolicy::JoinShortestQueue,
@@ -343,21 +297,58 @@ TEST(EventKernel, MatchesTwoPhaseOnEveryEstimatePolicy)
           sched::RouterPolicy::SloAware}) {
         for (const double rate : {8.0, 64.0}) {
             const auto trace = smallTrace(14, rate, 9);
-            FleetConfig config =
+            const FleetConfig config =
                 uniformFleet(2, fastConfig(4), fastServing(),
                              policy, /*ttft_deadline=*/1.5);
-            config.kernel = FleetKernel::EventDriven;
-            const auto event_report =
-                FleetSimulator(config, model::opt13b())
-                    .run(trace);
-            config.kernel = FleetKernel::TwoPhase;
-            const auto two_phase_report =
-                FleetSimulator(config, model::opt13b())
-                    .run(trace);
-            EXPECT_EQ(event_report.kernel, "event");
-            EXPECT_EQ(two_phase_report.kernel, "two-phase");
-            expectIdenticalReports(event_report,
-                                   two_phase_report);
+            const auto report =
+                FleetSimulator(config, model::opt13b()).run(trace);
+            checkReportInvariants(report, trace.size());
+
+            std::vector<std::vector<serving::ServedRequest>> split(
+                config.replicas.size());
+            for (std::size_t i = 0; i < trace.size(); ++i) {
+                ASSERT_EQ(report.requests[i].id, trace[i].id);
+                if (report.assignment[i] >= 0)
+                    split[static_cast<std::size_t>(
+                              report.assignment[i])]
+                        .push_back(trace[i]);
+            }
+            for (std::size_t r = 0; r < split.size(); ++r) {
+                const ReplicaConfig &replica = config.replicas[r];
+                serving::ServingSimulator isolated(
+                    replica.system, model::opt13b(),
+                    replica.serving);
+                const auto replay = isolated.run(split[r]);
+                const auto &served = report.replicaReports[r];
+                EXPECT_EQ(replay.completed, served.completed);
+                EXPECT_EQ(replay.rejected, served.rejected);
+                EXPECT_EQ(replay.makespan, served.makespan);
+                EXPECT_EQ(replay.throughputTps,
+                          served.throughputTps);
+                ASSERT_EQ(replay.requests.size(), split[r].size());
+                for (const serving::RequestMetrics &row :
+                     replay.requests) {
+                    const auto fleet_row = std::find_if(
+                        report.requests.begin(),
+                        report.requests.end(),
+                        [&](const serving::RequestMetrics &m) {
+                            return m.id == row.id;
+                        });
+                    ASSERT_NE(fleet_row, report.requests.end());
+                    EXPECT_EQ(row.rejected, fleet_row->rejected);
+                    EXPECT_EQ(row.arrival, fleet_row->arrival);
+                    EXPECT_EQ(row.admitted, fleet_row->admitted);
+                    EXPECT_EQ(row.firstToken,
+                              fleet_row->firstToken);
+                    EXPECT_EQ(row.completed, fleet_row->completed);
+                    EXPECT_EQ(row.tokens, fleet_row->tokens);
+                    EXPECT_EQ(row.priority, fleet_row->priority);
+                    EXPECT_EQ(row.preemptions,
+                              fleet_row->preemptions);
+                    EXPECT_EQ(row.migrations,
+                              fleet_row->migrations);
+                }
+            }
         }
     }
 }
@@ -374,7 +365,8 @@ TEST(EventKernel, TiedTimestampsAreDeterministic)
     FleetConfig config = uniformFleet(
         3, fastConfig(4), fastServing(),
         sched::RouterPolicy::TrueJsq, /*ttft_deadline=*/30.0);
-    config.workStealing = true;
+    config.control =
+        sched::controlPolicyByName("true-jsq+greedy-steal");
 
     const auto a =
         FleetSimulator(config, model::opt13b()).run(trace);
@@ -422,27 +414,15 @@ TEST(EventKernel, FeedbackPoliciesBeatEstimateJsqOnBurstyTail)
     EXPECT_LT(least_backlog.p99Ttft, estimate.p99Ttft);
 }
 
-TEST(EventKernel, FeedbackAndStealingRequireTheEventKernel)
+TEST(EventKernel, ConfigWithoutAControlPolicyIsRejected)
 {
-    const auto trace = smallTrace();
+    // A fleet has no default policy: a null control is an error at
+    // the API boundary, not deep inside the first run.
     FleetConfig config = uniformFleet(
         2, fastConfig(4), fastServing(),
-        sched::RouterPolicy::TrueJsq, 30.0);
-    config.kernel = FleetKernel::TwoPhase;
-    EXPECT_THROW(
-        FleetSimulator(config, model::opt13b()).run(trace),
-        std::invalid_argument);
-
-    config.policy = sched::RouterPolicy::RoundRobin;
-    config.workStealing = true;
-    EXPECT_THROW(
-        FleetSimulator(config, model::opt13b()).run(trace),
-        std::invalid_argument);
-
-    for (const char *name : {"event", "two-phase"})
-        EXPECT_EQ(fleetKernelName(fleetKernelByName(name)),
-                  name);
-    EXPECT_THROW(fleetKernelByName("offline"),
+        sched::RouterPolicy::RoundRobin, 30.0);
+    config.control = nullptr;
+    EXPECT_THROW(FleetSimulator(config, model::opt13b()),
                  std::invalid_argument);
 }
 
@@ -462,11 +442,9 @@ TEST(WorkStealing, RescuesRequestsStrandedOnADeadReplica)
     // Replica 1 cannot serve the model; round-robin keeps routing
     // to it anyway.  With the stealing hook, replica 0 drains the
     // stranded queue whenever it runs dry, so *everything* is
-    // served — the fault-tolerance story the two-phase path could
-    // not express.
+    // served.
     FleetConfig config;
     config.ttftDeadline = 60.0;
-    config.policy = sched::RouterPolicy::RoundRobin;
     ReplicaConfig healthy;
     healthy.system = fastConfig(4);
     healthy.serving = fastServing();
@@ -476,12 +454,13 @@ TEST(WorkStealing, RescuesRequestsStrandedOnADeadReplica)
 
     const auto trace = smallTrace();
 
-    config.workStealing = false;
+    config.control = sched::controlPolicyByName("round-robin");
     const auto stranded =
         FleetSimulator(config, model::opt13b()).run(trace);
     EXPECT_EQ(stranded.rejected, trace.size() / 2);
 
-    config.workStealing = true;
+    config.control =
+        sched::controlPolicyByName("round-robin+greedy-steal");
     const auto rescued =
         FleetSimulator(config, model::opt13b()).run(trace);
     checkReportInvariants(rescued, trace.size());
@@ -512,7 +491,8 @@ TEST(WorkStealing, SimultaneousThievesResolveDeterministically)
     FleetConfig config = uniformFleet(
         3, fastConfig(4), fastServing(/*max_batch=*/1),
         sched::RouterPolicy::RoundRobin, 60.0);
-    config.workStealing = true;
+    config.control =
+        sched::controlPolicyByName("round-robin+greedy-steal");
 
     const auto report =
         FleetSimulator(config, model::opt13b()).run(trace);
@@ -538,7 +518,8 @@ TEST(WorkStealing, KeepsInvariantsUnderOverload)
     FleetConfig config = uniformFleet(
         3, fastConfig(4), fastServing(2),
         sched::RouterPolicy::RoundRobin, 60.0);
-    config.workStealing = true;
+    config.control =
+        sched::controlPolicyByName("round-robin+greedy-steal");
     const auto report =
         FleetSimulator(config, model::opt13b()).run(trace);
     checkReportInvariants(report, trace.size());
@@ -548,63 +529,26 @@ TEST(WorkStealing, KeepsInvariantsUnderOverload)
 // ---- The composable control plane (sched/control_policy.hh) ----
 
 /**
- * Explicit ControlPolicy objects must reproduce the deprecated
- * enum/bool configuration bit for bit: the legacy fields are thin
- * adapters over the same built-ins.
+ * uniformFleet's RouterPolicy argument and the registry name of the
+ * same policy build the same control plane, bit for bit.
  */
-TEST(ControlPlane, ExplicitPoliciesMatchTheDeprecatedConfig)
+TEST(ControlPlane, RegistryPoliciesMatchUniformFleet)
 {
     const auto trace = smallTrace();
     for (const sched::RouterPolicy policy :
          sched::allRouterPolicies()) {
-        FleetConfig legacy = uniformFleet(
+        FleetConfig from_enum = uniformFleet(
             2, fastConfig(4), fastServing(), policy, 30.0);
-        FleetConfig explicit_config = legacy;
-        explicit_config.control = sched::controlPolicyByName(
+        FleetConfig from_name = from_enum;
+        from_name.control = sched::controlPolicyByName(
             sched::routerPolicyName(policy));
         const auto a =
-            FleetSimulator(legacy, model::opt13b()).run(trace);
+            FleetSimulator(from_enum, model::opt13b()).run(trace);
         const auto b =
-            FleetSimulator(explicit_config, model::opt13b())
-                .run(trace);
+            FleetSimulator(from_name, model::opt13b()).run(trace);
         EXPECT_EQ(a.policy, b.policy);
         expectIdenticalReports(a, b);
     }
-}
-
-TEST(ControlPlane, ExplicitStealingMatchesTheDeprecatedBool)
-{
-    // The dead-replica rescue scenario forces steals; the explicit
-    // "round-robin+greedy-steal" composite must reproduce the
-    // legacy workStealing bool exactly, steal counters included.
-    FleetConfig config;
-    config.ttftDeadline = 60.0;
-    config.policy = sched::RouterPolicy::RoundRobin;
-    ReplicaConfig healthy;
-    healthy.system = fastConfig(4);
-    healthy.serving = fastServing();
-    ReplicaConfig dead = healthy;
-    dead.system.numDimms = 0;
-    config.replicas = {healthy, dead};
-    const auto trace = smallTrace();
-
-    config.workStealing = true;
-    const auto legacy =
-        FleetSimulator(config, model::opt13b()).run(trace);
-
-    config.workStealing = false;
-    config.control =
-        sched::controlPolicyByName("round-robin+greedy-steal");
-    const auto explicit_report =
-        FleetSimulator(config, model::opt13b()).run(trace);
-
-    expectIdenticalReports(legacy, explicit_report);
-    EXPECT_EQ(legacy.kernelStats.steals,
-              explicit_report.kernelStats.steals);
-    EXPECT_EQ(legacy.kernelStats.stolenRequests,
-              explicit_report.kernelStats.stolenRequests);
-    EXPECT_GT(explicit_report.kernelStats.stolenRequests, 0u);
-    EXPECT_EQ(explicit_report.policy, "round-robin+greedy-steal");
 }
 
 TEST(ControlPlane, RegistryRoundTripsAndComposes)
@@ -638,18 +582,6 @@ TEST(ControlPlane, RegistryRoundTripsAndComposes)
                  std::invalid_argument);
     EXPECT_THROW(sched::composeControlPolicies({}),
                  std::invalid_argument);
-}
-
-TEST(ControlPlane, CustomPoliciesNeedTheEventKernel)
-{
-    FleetConfig config = uniformFleet(
-        2, fastConfig(4), fastServing(),
-        sched::RouterPolicy::RoundRobin, 30.0);
-    config.kernel = FleetKernel::TwoPhase;
-    config.control = sched::controlPolicyByName("round-robin");
-    EXPECT_THROW(
-        FleetSimulator(config, model::opt13b()).run(smallTrace()),
-        std::invalid_argument);
 }
 
 /** Routes arrivals to a fixed replica (test scaffolding). */
@@ -1194,7 +1126,7 @@ TEST(Lifecycle, DrainMigrateCompletesWhatADeadReplicaAbandons)
     // one of them moves to the healthy replica and completes.
     FleetConfig config;
     config.ttftDeadline = 60.0;
-    config.policy = sched::RouterPolicy::RoundRobin;
+    config.control = sched::controlPolicyByName("round-robin");
     ReplicaConfig healthy;
     healthy.system = fastConfig(4);
     healthy.serving = fastServing();
@@ -1518,12 +1450,6 @@ TEST(Sessions, FollowupsArriveThinkTimeAfterThePreviousTurn)
         FleetSimulator(config, model::opt13b()).run(trace);
     EXPECT_EQ(report.assignment, replay.assignment);
     EXPECT_DOUBLE_EQ(report.makespan, replay.makespan);
-
-    // Closed-loop arrivals need the event kernel.
-    config.kernel = FleetKernel::TwoPhase;
-    EXPECT_THROW(
-        FleetSimulator(config, model::opt13b()).run(trace),
-        std::invalid_argument);
 }
 
 TEST(Sessions, AffinityBeatsJsqOnMultiTurnTailLatency)
