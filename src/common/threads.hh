@@ -2,9 +2,10 @@
  * @file
  * Worker-pool sizing helpers.
  *
- * Every thread pool in the simulator (router calibration, shared
- * cost-cache warming) sizes itself from a user request with a
- * hardware-probe fallback.  The standard allows
+ * The simulator's one thread pool, the shared cost-cache warming
+ * pool (ServingSimulator::warmCosts, sized by
+ * FleetConfig::calibrationThreads), sizes itself from a user request
+ * with a hardware-probe fallback.  The standard allows
  * std::thread::hardware_concurrency() to return 0 ("not
  * computable"); these helpers clamp that case in exactly one place
  * so no caller can ever end up with a zero-thread pool or divide by

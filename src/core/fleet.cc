@@ -1,7 +1,6 @@
 #include "core/fleet.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -10,7 +9,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -94,11 +92,67 @@ spawnedReplicaName(std::uint64_t index)
 }
 
 /**
+ * The batch sizes a replica capped at `max_batch` passes through as
+ * its batches grow: the powers of two below the cap, then the cap —
+ * one per cost-cache batch row.
+ */
+std::vector<std::uint32_t>
+batchRamp(std::uint32_t max_batch)
+{
+    std::vector<std::uint32_t> ramp;
+    for (std::uint32_t batch = 1;; batch *= 2) {
+        ramp.push_back(std::min(batch, max_batch));
+        if (batch >= max_batch)
+            return ramp;
+    }
+}
+
+/**
+ * Assign the newest replica — index cache_group_of.size(), already
+ * in `replicas` and configured as `specs[index]` — to a cost-cache
+ * group.  It shares the cache of the first earlier group leader
+ * whose system and serving configs equal its own (engine physics
+ * are pure functions of that configuration, so the costs are
+ * bit-identical), or else leads a new group.  This is the fleet's
+ * one sharing rule: the constructor applies it to each configured
+ * replica and spawnReplica to each spawn, so a spawned clone of a
+ * configured replica calibrates on warm hits.
+ */
+template <typename Spec>
+void
+joinCostCacheGroup(
+    const std::vector<Spec> &specs,
+    std::vector<std::unique_ptr<serving::ServingSimulator>> &replicas,
+    std::vector<std::size_t> &cache_group_of)
+{
+    const std::size_t index = cache_group_of.size();
+    cache_group_of.push_back(index);
+    for (std::size_t j = 0; j < index; ++j) {
+        if (cache_group_of[j] == j &&
+            specs[j].system == specs[index].system &&
+            specs[j].serving == specs[index].serving) {
+            cache_group_of[index] = j;
+            replicas[index]->shareCostCacheWith(*replicas[j]);
+            return;
+        }
+    }
+}
+
+/** A drain was requested: Retired is reachable only from Draining
+ * (see EventKernel::maybeRetire). */
+bool
+drainRequested(sched::ReplicaLifecycle lifecycle)
+{
+    return lifecycle == sched::ReplicaLifecycle::Draining ||
+           lifecycle == sched::ReplicaLifecycle::Retired;
+}
+
+/**
  * Calibrate the router's view of one replica at the workload's
  * typical operating point, and warm its cost cache across the
- * batch ramp (see FleetSimulator::calibrate).  Shared between
- * up-front fleet calibration and mid-run spawns: a replica stood
- * up by the autoscaler gets the identical model a configured
+ * batch ramp.  Shared between up-front fleet calibration
+ * (FleetSimulator::calibrateAll) and mid-run spawns: a replica
+ * stood up by the autoscaler gets the identical model a configured
  * sibling would, from the identical probe set.
  */
 sched::ReplicaModel
@@ -160,14 +214,11 @@ calibrateReplicaModel(serving::ServingSimulator &simulator,
         std::max<std::uint64_t>(shape.maxPrompt, 1);
     const std::uint64_t far_context =
         std::max<std::uint64_t>(shape.maxContext, 1);
-    for (std::uint32_t ramp = 1;; ramp *= 2) {
-        const std::uint32_t batch = std::min(ramp, max_batch);
+    for (const std::uint32_t batch : batchRamp(max_batch)) {
         simulator.prefillSeconds(batch, shape.typicalPrompt);
         simulator.tokenSeconds(batch, shape.typicalContext);
         simulator.prefillSeconds(batch, far_prompt);
         simulator.tokenSeconds(batch, far_context);
-        if (ramp >= max_batch)
-            break;
     }
     return model;
 }
@@ -186,8 +237,7 @@ warmupReplaySeconds(serving::ServingSimulator &simulator,
                     const WorkloadShape &shape)
 {
     double total = 0.0;
-    for (std::uint32_t ramp = 1;; ramp *= 2) {
-        const std::uint32_t batch = std::min(ramp, max_batch);
+    for (const std::uint32_t batch : batchRamp(max_batch)) {
         // Unservable probes return the -1 sentinel; they add no
         // warm-up time (the replica will calibrate dead anyway).
         total += std::max(
@@ -196,8 +246,6 @@ warmupReplaySeconds(serving::ServingSimulator &simulator,
         total += std::max(
             0.0,
             simulator.tokenSeconds(batch, shape.typicalContext));
-        if (ramp >= max_batch)
-            break;
     }
     return total;
 }
@@ -327,7 +375,6 @@ class EventKernel final : public sched::FleetView,
         retiredAt_.assign(n, -1.0);
         warmupSeconds_.assign(n, 0.0);
         wakeScheduled_.assign(n, 0);
-        draining_.assign(n, 0);
         deadNotified_.assign(n, 0);
         if (wants_ & sched::ControlPolicy::kObservations) {
             observed_.resize(n); // One buffer, reused per arrival.
@@ -525,7 +572,7 @@ class EventKernel final : public sched::FleetView,
     bool
     draining(std::uint32_t replica) const override
     {
-        return draining_.at(replica) != 0;
+        return drainRequested(lifecycle_.at(replica));
     }
 
     sched::ReplicaLifecycle
@@ -604,7 +651,7 @@ class EventKernel final : public sched::FleetView,
         if (replica >= replicas_.size())
             throw std::logic_error(
                 "FleetActions::routeTo: replica out of range");
-        if (draining_[replica])
+        if (drainRequested(lifecycle_[replica]))
             throw std::logic_error(
                 "FleetActions::routeTo: replica is draining");
         if (lifecycle_[replica] != sched::ReplicaLifecycle::Active)
@@ -651,7 +698,7 @@ class EventKernel final : public sched::FleetView,
             throw std::logic_error(
                 "FleetActions::steal: thief cannot serve (dead "
                 "or unprobed) — it would strand the work");
-        if (draining_[thief])
+        if (drainRequested(lifecycle_[thief]))
             throw std::logic_error(
                 "FleetActions::steal: thief is draining — it "
                 "accepts no new work");
@@ -716,7 +763,7 @@ class EventKernel final : public sched::FleetView,
         if (to_replica >= replicas_.size())
             throw std::logic_error(
                 "FleetActions::migrate: destination out of range");
-        if (draining_[to_replica])
+        if (drainRequested(lifecycle_[to_replica]))
             throw std::logic_error(
                 "FleetActions::migrate: destination is draining — "
                 "it accepts no new work");
@@ -805,56 +852,32 @@ class EventKernel final : public sched::FleetView,
             stored.name = spawnedReplicaName(
                 report_.kernelStats.spawnedReplicas);
 
-        // Construct the replica and join a matching cost-cache
-        // group, exactly like FleetSimulator's constructor: a spec
-        // cloned from an existing replica shares its calibrated
-        // surface bit-identically, so the calibration below is all
-        // warm hits.
+        // Construct the replica and join its cost-cache group
+        // (joinCostCacheGroup, the constructor's rule).
         replicas_.push_back(
             std::make_unique<serving::ServingSimulator>(
                 stored.system, llm_, stored.serving));
+        report_.replicaNames.push_back(stored.name);
+        specs_.push_back(std::move(stored));
+        joinCostCacheGroup(specs_, replicas_, cacheGroupOf_);
         serving::ServingSimulator &replica = *replicas_[index];
-        cacheGroupOf_.push_back(index);
-        for (std::size_t j = 0; j < index; ++j) {
-            if (cacheGroupOf_[j] == j &&
-                specs_[j].system == stored.system &&
-                specs_[j].serving == stored.serving) {
-                cacheGroupOf_[index] = j;
-                replica.shareCostCacheWith(*replicas_[j]);
-                break;
-            }
-        }
-        if (cacheGroupOf_[index] == index) {
-            // A novel spec still shares interpolation anchors with
-            // any replica whose physics match (same engine, model,
-            // seed — differing only in batch caps or bucketing),
-            // so even a cold spawn reuses every anchor simulation
-            // already paid for.
-            for (std::size_t j = 0; j < index; ++j) {
-                if (replica.shareAnchorStoreWith(*replicas_[j]))
-                    break;
-            }
-        }
 
         // Calibrate now — cold engine simulations (if any) bill to
         // the run's calibrationSeconds through the cache-group
         // accounting — and price the Warming phase on the freshly
         // warmed surface.
         const std::uint32_t max_batch = std::max<std::uint32_t>(
-            stored.serving.maxBatch, 1);
+            specs_[index].serving.maxBatch, 1);
         models_.push_back(
             calibrateReplicaModel(replica, max_batch, shape_));
         const Seconds warmup =
             warmupReplaySeconds(replica, max_batch, shape_);
 
-        report_.replicaNames.push_back(stored.name);
-        specs_.push_back(std::move(stored));
         lifecycle_.push_back(sched::ReplicaLifecycle::Provisioning);
         activeStart_.push_back(queue_.now());
         retiredAt_.push_back(-1.0);
         warmupSeconds_.push_back(warmup);
         wakeScheduled_.push_back(0);
-        draining_.push_back(0);
         deadNotified_.push_back(0);
         if (!observedDirty_.empty()) {
             observed_.push_back(sched::ReplicaObservation{});
@@ -887,13 +910,9 @@ class EventKernel final : public sched::FleetView,
             throw std::logic_error(
                 "FleetActions::requestDrain: replica out of "
                 "range");
-        if (!draining_[replica]) {
-            draining_[replica] = 1;
+        if (!drainRequested(lifecycle_[replica])) {
             ++report_.kernelStats.drainRequests;
-            if (lifecycle_[replica] !=
-                sched::ReplicaLifecycle::Retired)
-                lifecycle_[replica] =
-                    sched::ReplicaLifecycle::Draining;
+            lifecycle_[replica] = sched::ReplicaLifecycle::Draining;
             // An empty idle replica (or one drained mid-spawn,
             // before it ever went Active) retires on the spot.
             maybeRetire(replica, queue_.now());
@@ -1233,7 +1252,6 @@ class EventKernel final : public sched::FleetView,
 
     sim::EventQueue queue_;
     std::vector<char> wakeScheduled_;
-    std::vector<char> draining_;
     std::vector<char> deadNotified_;
 
     /**
@@ -1337,7 +1355,6 @@ FleetSimulator::FleetSimulator(FleetConfig config,
     if (!config_.control)
         throw std::invalid_argument(
             "FleetSimulator: FleetConfig::control is null");
-    cacheGroupOf_.resize(config_.replicas.size());
     for (std::size_t i = 0; i < config_.replicas.size(); ++i) {
         ReplicaConfig &replica = config_.replicas[i];
         if (replica.name.empty())
@@ -1346,32 +1363,11 @@ FleetSimulator::FleetSimulator(FleetConfig config,
         replicas_.push_back(
             std::make_unique<serving::ServingSimulator>(
                 replica.system, llm_, replica.serving));
-        // Equal-config replicas share one calibrated cost cache
-        // (bit-identical physics, see cacheGroupOf_): a uniform
-        // fleet pays each cold (batch, context) bucket one engine
-        // simulation instead of one per replica.
-        cacheGroupOf_[i] = i;
-        for (std::size_t j = 0; j < i; ++j) {
-            if (cacheGroupOf_[j] == j &&
-                config_.replicas[j].system == replica.system &&
-                config_.replicas[j].serving == replica.serving) {
-                cacheGroupOf_[i] = j;
-                replicas_[i]->shareCostCacheWith(*replicas_[j]);
-                break;
-            }
-        }
-        // A new group leader may still share *physics* with an
-        // earlier leader (differing only in serving-policy knobs
-        // like maxBatch or seqBucket): share the exact-anchor store
-        // so both groups pay for each engine simulation once.
-        if (cacheGroupOf_[i] == i) {
-            for (std::size_t j = 0; j < i; ++j) {
-                if (cacheGroupOf_[j] == j &&
-                    replicas_[i]->shareAnchorStoreWith(
-                        *replicas_[j]))
-                    break;
-            }
-        }
+        // Equal-config replicas share one calibrated cost cache: a
+        // uniform fleet pays each cold (batch, context) bucket one
+        // engine simulation instead of one per replica.
+        joinCostCacheGroup(config_.replicas, replicas_,
+                           cacheGroupOf_);
     }
 }
 
@@ -1393,51 +1389,9 @@ FleetSimulator::calibrateAll(const WorkloadShape &shape)
     // shared cache — pure hits, and their own saturation flags
     // latch exactly as if they had calibrated cold.  A uniform
     // 1024-replica fleet calibrates once, not 1024 times.
-    std::vector<std::size_t> leaders;
-    leaders.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
         if (cacheGroupOf_[i] == i)
-            leaders.push_back(i);
-    }
-
-    const std::size_t workers = resolveWorkerCount(
-        config_.calibrationThreads, hardwareThreads(),
-        leaders.size());
-    if (workers <= 1) {
-        for (const std::size_t i : leaders)
             calibrate(i);
-    } else {
-        // Each worker claims whole representatives, so one cost
-        // cache is only ever touched by one thread and the
-        // calibrated models are identical to the serial loop
-        // regardless of scheduling.  (Physics-equal leaders share a
-        // mutex-guarded exact-anchor store across threads; its
-        // values are pure functions of the operating point, so the
-        // models stay interleaving-independent.)  Heterogeneous-
-        // fleet sweeps stop paying one engine simulation chain per
-        // group in series.
-        std::atomic<std::size_t> next{0};
-        std::vector<std::exception_ptr> errors(workers);
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            pool.emplace_back([&, w] {
-                try {
-                    for (std::size_t k = next.fetch_add(1);
-                         k < leaders.size();
-                         k = next.fetch_add(1))
-                        calibrate(leaders[k]);
-                } catch (...) {
-                    errors[w] = std::current_exception();
-                }
-            });
-        }
-        for (std::thread &thread : pool)
-            thread.join();
-        for (const std::exception_ptr &error : errors) {
-            if (error)
-                std::rethrow_exception(error);
-        }
     }
     for (std::size_t i = 0; i < count; ++i) {
         if (cacheGroupOf_[i] != i)
@@ -1480,29 +1434,20 @@ FleetSimulator::warmSessionCosts(std::uint64_t max_context)
             std::max<std::uint32_t>(serving.seqBucket, 1);
         const std::uint64_t max_column =
             std::max<std::uint64_t>(max_context, 1) / bucket;
-        std::uint64_t rows = 0;
-        for (std::uint32_t ramp = 1;; ramp *= 2) {
-            ++rows;
-            if (ramp >= max_batch)
-                break;
-        }
+        const std::vector<std::uint32_t> ramp = batchRamp(max_batch);
         // Exact mode simulates the whole grid — skip oversized ones
         // (tiny seqBucket); interp mode collapses the grid to the
         // log-spaced anchors inside warmCosts.
         if (serving.costModel == serving::CostModel::Exact &&
-            rows * (max_column + 1) > 4096)
+            ramp.size() * (max_column + 1) > 4096)
             continue;
         std::vector<serving::CostProbe> probes;
-        probes.reserve(rows * (max_column + 1));
-        for (std::uint32_t ramp = 1;; ramp *= 2) {
-            const std::uint32_t batch =
-                std::min(ramp, max_batch);
+        probes.reserve(ramp.size() * (max_column + 1));
+        for (const std::uint32_t batch : ramp) {
             for (std::uint64_t column = 0; column <= max_column;
                  ++column)
                 probes.push_back(serving::CostProbe{
                     batch, column * bucket});
-            if (ramp >= max_batch)
-                break;
         }
         replicas_[i]->warmCosts(probes, threads);
     }
@@ -1657,7 +1602,7 @@ FleetSimulator::runKernel(
     std::vector<sched::ReplicaModel> models = calibrateAll(shape);
     // A session trace announces its whole context trajectory up
     // front (every turn's prompt already carries its history):
-    // pre-warm the surface across the calibration pool instead of
+    // pre-warm the surface across the warming pool instead of
     // paying one cold bucket per growing turn inside the loop.
     if (sessions != nullptr)
         warmSessionCosts(shape.maxContext);

@@ -31,8 +31,10 @@
  * Replica ServingSimulators (and their calibrated cost caches)
  * persist across run() calls, so sweeping scenarios over one fleet
  * re-simulates engines only for unseen (batch, context) buckets.
- * Router calibration probes all replicas in parallel on a small
- * thread pool (each thread only touches its own replica's cache).
+ * Replicas share a cost cache exactly when their system and serving
+ * configurations are equal (a spawned replica joins by the same
+ * rule).  Router calibration runs serially, one engine-simulation
+ * chain per cache group.
  */
 
 #ifndef HERMES_CORE_FLEET_HH
@@ -88,8 +90,12 @@ struct FleetConfig
     Seconds ttftDeadline = 2.0;
 
     /**
-     * Threads for router calibration across replicas (0 = one per
-     * replica, capped at the hardware concurrency).
+     * Threads for the session cost-warming pool: before a session
+     * run (run(SessionTrace)), each cache group's cost surface is
+     * pre-warmed across this many threads (0 = the hardware
+     * concurrency; 1 = no pre-warming, cells fill lazily).  Only
+     * wall-clock time changes, never the physics.  Router
+     * calibration is serial.
      */
     std::uint32_t calibrationThreads = 0;
 };
@@ -291,8 +297,9 @@ class FleetSimulator
      * workload's typical prompt length and decode context, and
      * warm each cost cache across the batch ramp up to the
      * workload's maximum prompt/context so the event loop itself
-     * runs on cache hits.  Cache-group leaders calibrate in
-     * parallel across a thread pool.
+     * runs on cache hits.  Serial: cache-group leaders calibrate
+     * first (the only cold engine simulations), then every member
+     * re-probes its leader's warm cache.
      */
     std::vector<sched::ReplicaModel>
     calibrateAll(const WorkloadShape &shape);
@@ -300,8 +307,8 @@ class FleetSimulator
     /**
      * Pre-warm every cache group's cost surface across the batch
      * ramp and the full context trajectory a session trace will
-     * climb (columns 0..max_context/seqBucket), using the
-     * calibration thread pool.  Under the interpolated cost model
+     * climb (columns 0..max_context/seqBucket), on the
+     * calibrationThreads pool.  Under the interpolated cost model
      * the grid collapses to the log-spaced anchors; under the exact
      * model oversized grids are skipped (the run would not touch
      * most of them either).  Warming is observable only as

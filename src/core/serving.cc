@@ -115,8 +115,7 @@ ServingSimulator::ServingSimulator(runtime::SystemConfig system,
                                    model::LlmConfig llm,
                                    ServingConfig config)
     : system_(std::move(system)), llm_(std::move(llm)),
-      config_(config), cache_(std::make_shared<CostCache>()),
-      anchors_(std::make_shared<AnchorStore>())
+      config_(config), cache_(std::make_shared<CostCache>())
 {
     // Explicit guards: degenerate policy values would otherwise
     // divide by zero or stall the admission loop.
@@ -247,17 +246,6 @@ ServingSimulator::StepCosts
 ServingSimulator::exactCosts(std::uint32_t batch_bucket,
                              std::uint64_t seq_bucket)
 {
-    // A physics-equal simulator (shareAnchorStoreWith) may already
-    // have simulated this operating point: adopt its result and
-    // bill nothing — the simulator that ran the engine already did.
-    const std::pair<std::uint32_t, std::uint64_t> key{batch_bucket,
-                                                      seq_bucket};
-    {
-        std::lock_guard<std::mutex> lock(anchors_->mutex);
-        const auto it = anchors_->entries.find(key);
-        if (it != anchors_->entries.end())
-            return it->second;
-    }
     CostCache &cache = *cache_;
     if (!cache.engine)
         cache.engine = runtime::makeEngine(config_.engine, system_);
@@ -269,13 +257,6 @@ ServingSimulator::exactCosts(std::uint32_t batch_bucket,
             std::chrono::steady_clock::now() - start)
             .count();
     ++cache.engineRuns;
-    {
-        // First writer wins; a racing writer computed the identical
-        // value (pure function of the key), so keeping either is
-        // bit-identical.
-        std::lock_guard<std::mutex> lock(anchors_->mutex);
-        anchors_->entries.emplace(key, step);
-    }
     return step;
 }
 
@@ -377,24 +358,6 @@ ServingSimulator::shareCostCacheWith(ServingSimulator &other)
                   "shareCostCacheWith across differing replica "
                   "configurations: costs would not be identical");
     cache_ = other.cache_;
-    // Equal full configurations imply equal physics: keep the
-    // group's anchor store coherent too, so a group member's exact
-    // simulation is visible to physics-equal simulators outside the
-    // group.
-    anchors_ = other.anchors_;
-}
-
-bool
-ServingSimulator::shareAnchorStoreWith(ServingSimulator &other)
-{
-    if (!(system_ == other.system_) || !(llm_ == other.llm_) ||
-        config_.engine != other.config_.engine ||
-        config_.calibrationTokens !=
-            other.config_.calibrationTokens ||
-        config_.seed != other.config_.seed)
-        return false;
-    anchors_ = other.anchors_;
-    return true;
 }
 
 double
@@ -463,20 +426,7 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
     needed.erase(std::unique(needed.begin(), needed.end(), same),
                  needed.end());
     std::erase_if(needed, [&](const Key &key) {
-        if (findCosts(key.row, key.column) != nullptr)
-            return true;
-        // A physics-equal simulator may already have run this
-        // operating point: adopt from the shared anchor store
-        // instead of re-simulating (no engine time billed here —
-        // the simulator that ran it already paid).
-        std::lock_guard<std::mutex> lock(anchors_->mutex);
-        const auto it = anchors_->entries.find(
-            {key.batchBucket,
-             (key.column + 1) * config_.seqBucket});
-        if (it == anchors_->entries.end())
-            return false;
-        storeCosts(key.row, key.column, it->second);
-        return true;
+        return findCosts(key.row, key.column) != nullptr;
     });
 
     // `threads` arrives pre-resolved from the fleet layer, but a
@@ -526,15 +476,6 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
         for (const double spent : seconds)
             cache_->engineSeconds += spent;
         cache_->engineRuns += needed.size();
-        // Publish to the shared anchor store so physics-equal
-        // simulators (shareAnchorStoreWith) skip these simulations.
-        std::lock_guard<std::mutex> lock(anchors_->mutex);
-        for (std::size_t i = 0; i < needed.size(); ++i)
-            anchors_->entries.emplace(
-                std::pair<std::uint32_t, std::uint64_t>{
-                    needed[i].batchBucket,
-                    (needed[i].column + 1) * config_.seqBucket},
-                computed[i]);
     } else {
         for (const Key &key : needed)
             storeCosts(key.row, key.column,

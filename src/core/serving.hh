@@ -56,9 +56,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -448,28 +446,9 @@ class ServingSimulator
      * instead of once per replica — the difference between O(fleet)
      * and O(replicas) engine simulations on the kernel hot path.
      * Asserts the configurations are equal.  Not thread-safe
-     * against concurrent cost queries; the fleet calibrates one
-     * group representative per thread instead.
+     * against concurrent cost queries.
      */
     void shareCostCacheWith(ServingSimulator &other);
-
-    /**
-     * Try to adopt `other`'s exact-simulation anchor store.  An
-     * engine simulation of a (batch bucket, context tokens) cell is
-     * a pure function of the *physics* configuration — (system,
-     * model, engine kind, calibrationTokens, seed) — and not of the
-     * serving-policy knobs (maxBatch, maxQueue, seqBucket,
-     * kvCapacityTokens, costModel), so replicas that differ only in
-     * policy can share every exact anchor they both touch instead
-     * of recomputing it per cost-cache group.  Returns true (and
-     * shares) when the physics match, false (and changes nothing)
-     * when they differ — callers probe candidates in a loop.  The
-     * store is mutex-guarded: values are pure, so concurrent fills
-     * are bit-identical no matter who wins.  An adopting simulator
-     * that finds a cell in the store bills no engine time for it —
-     * the simulator that ran it already did.
-     */
-    bool shareAnchorStoreWith(ServingSimulator &other);
 
     /** Hand one arrival to the replica (admission decided later). */
     void deliver(const ServedRequest &request);
@@ -684,23 +663,6 @@ class ServingSimulator
         std::uint64_t engineRuns = 0;
     };
 
-    /**
-     * Exact engine simulations shared across simulators whose
-     * physics agree (see shareAnchorStoreWith), keyed by the raw
-     * operating point (batch bucket, context tokens) — deliberately
-     * NOT by (row, column), which bake in this simulator's
-     * seqBucket.  An ordered map keeps iteration deterministic; the
-     * mutex covers concurrent group-representative calibration
-     * threads, and since every value is a pure function of its key,
-     * insert races are value-identical.
-     */
-    struct AnchorStore
-    {
-        std::mutex mutex;
-        std::map<std::pair<std::uint32_t, std::uint64_t>, StepCosts>
-            entries;
-    };
-
     /** Calibrated (batch bucket, seq bucket) -> step costs. */
     StepCosts costs(std::uint32_t batch, std::uint64_t seq);
 
@@ -778,7 +740,6 @@ class ServingSimulator
     model::LlmConfig llm_;
     ServingConfig config_;
     std::shared_ptr<CostCache> cache_;
-    std::shared_ptr<AnchorStore> anchors_;
     bool saturated_ = false;
 
     /** Why an entry left this replica (excluded from its report). */

@@ -157,6 +157,54 @@ TEST(Autoscale, SpawnedReplicaAdmitsOnlyAfterWarmup)
     EXPECT_GT(report.costPerRequest, 0.0);
 }
 
+TEST(Autoscale, SpawnedCloneJoinsItsCacheGroup)
+{
+    // Replicas share a cost cache exactly when their system and
+    // serving configs are equal, and a spawn joins by the same rule.
+    // Run one simulator twice on the same trace: the first run
+    // calibrates replica 0's group, and the second run's clone of
+    // replica 0 calibrates and serves on that warm cache — no
+    // engine runs at all.  A clone that led a group of its own
+    // would start from a cold cache every run.
+    FleetConfig config = uniformFleet(
+        1, fastConfig(4), fastServing(),
+        sched::RouterPolicy::RoundRobin, 30.0);
+    config.control = std::make_shared<SpawnOncePolicy>(0.3);
+    FleetSimulator simulator(config, model::opt13b());
+    const auto trace = smallTrace(24, 4.0, 9);
+    const auto first = simulator.run(trace);
+    const auto second = simulator.run(trace);
+    checkReportInvariants(second, trace.size());
+    EXPECT_GT(first.kernelStats.calibrationSeconds, 0.0);
+    EXPECT_EQ(second.kernelStats.calibrationSeconds, 0.0);
+
+    // The warm rerun reproduces the cold run exactly.
+    EXPECT_EQ(first.kernelStats.spawnedReplicas, 1u);
+    EXPECT_EQ(second.kernelStats.spawnedReplicas, 1u);
+    EXPECT_EQ(first.replicaNames, second.replicaNames);
+    EXPECT_EQ(first.assignment, second.assignment);
+    EXPECT_EQ(first.completed, second.completed);
+    EXPECT_EQ(first.rejected, second.rejected);
+    EXPECT_EQ(first.makespan, second.makespan);
+    EXPECT_EQ(first.throughputTps, second.throughputTps);
+    EXPECT_EQ(first.replicaActiveSeconds,
+              second.replicaActiveSeconds);
+    EXPECT_EQ(first.replicaSeconds, second.replicaSeconds);
+    EXPECT_EQ(first.costPerRequest, second.costPerRequest);
+    ASSERT_EQ(first.requests.size(), second.requests.size());
+    for (std::size_t i = 0; i < first.requests.size(); ++i) {
+        EXPECT_EQ(first.requests[i].admitted,
+                  second.requests[i].admitted)
+            << "request " << i;
+        EXPECT_EQ(first.requests[i].firstToken,
+                  second.requests[i].firstToken)
+            << "request " << i;
+        EXPECT_EQ(first.requests[i].completed,
+                  second.requests[i].completed)
+            << "request " << i;
+    }
+}
+
 TEST(Autoscale, SpawnIsCapabilityGatedAndWarmupBlocksRouting)
 {
     const auto trace = smallTrace(4);

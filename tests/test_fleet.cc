@@ -1511,7 +1511,7 @@ TEST(Sessions, CalibrationTimeIsAccountedSeparatelyFromTheLoop)
 TEST(Sessions, CalibrationThreadsDoNotChangeThePhysics)
 {
     // calibrationThreads controls only how fast shared cost caches
-    // fill (router calibration and pre-loop cost warming); the
+    // fill (pre-loop session cost warming); the
     // simulated physics of a session run is byte-identical at any
     // thread count, in either cost model.
     const auto trace = conversationalTrace(8, 0.5, 13);

@@ -211,82 +211,6 @@ TEST(Serving, CostProbesAgreeWithServingPhysics)
     EXPECT_DOUBLE_EQ(unservable.tokenSeconds(1, 64), 0.0);
 }
 
-TEST(Serving, AnchorStoreSharesExactSimulationsAcrossVariants)
-{
-    // Anchor cells are keyed by (batch bucket, raw context tokens),
-    // and the sharing predicate checks only the physics inputs of
-    // an engine simulation (system, model, engine kind,
-    // calibrationTokens, seed).  Scheduling knobs — maxBatch,
-    // seqBucket, queue depth — do not change what an exact
-    // simulation of a cell costs, so variants differing only in
-    // those answer from each other's anchors instead of re-running
-    // the engine.
-    const auto system = fastConfig(4);
-    const auto llm = model::opt13b();
-    ServingConfig wide = fastServing(8);
-    wide.seqBucket = 64;
-    wide.costModel = CostModel::Interp;
-    ServingConfig narrow = wide;
-    narrow.maxBatch = 4; // The only difference: a scheduling knob.
-
-    // Warm the wide simulator over a probe grid reaching past
-    // column 16, where the anchor schedule turns geometric and
-    // interpolation actually happens.
-    ServingSimulator reference(system, llm, wide);
-    const std::uint32_t batches[] = {1, 2, 4};
-    const std::uint64_t seqs[] = {100, 1000, 2000, 3000};
-    for (const std::uint32_t batch : batches)
-        for (const std::uint64_t seq : seqs) {
-            ASSERT_TRUE(reference.servable(batch, seq));
-            reference.prefillSeconds(batch, seq);
-            reference.tokenSeconds(batch, seq);
-        }
-    const std::uint64_t paid = reference.calibrationRuns();
-    ASSERT_GT(paid, 0u);
-
-    // The narrow variant adopts the anchors; an independent twin
-    // of the narrow config recomputes everything from scratch.
-    ServingSimulator shared(system, llm, narrow);
-    ASSERT_TRUE(shared.shareAnchorStoreWith(reference));
-    ServingSimulator independent(system, llm, narrow);
-
-    for (const std::uint32_t batch : batches)
-        for (const std::uint64_t seq : seqs) {
-            // Byte-identical costs: adopted anchors are the same
-            // exact simulations the independent twin runs, and the
-            // interpolation arithmetic is identical.
-            EXPECT_EQ(shared.prefillSeconds(batch, seq),
-                      independent.prefillSeconds(batch, seq))
-                << "prefill(" << batch << ", " << seq << ")";
-            EXPECT_EQ(shared.tokenSeconds(batch, seq),
-                      independent.tokenSeconds(batch, seq))
-                << "token(" << batch << ", " << seq << ")";
-        }
-    // The shared simulator answered entirely from adopted anchors —
-    // zero engine runs billed to it — while the independent twin
-    // paid for the full grid again.
-    EXPECT_EQ(shared.calibrationRuns(), 0u);
-    EXPECT_DOUBLE_EQ(shared.calibrationSeconds(), 0.0);
-    EXPECT_GT(independent.calibrationRuns(), 0u);
-    // Adoption bills nothing retroactively to the reference.
-    EXPECT_EQ(reference.calibrationRuns(), paid);
-
-    // Physics differences refuse to share: the anchors would not
-    // be the simulations this configuration implies.
-    ServingConfig reseeded = narrow;
-    reseeded.seed = narrow.seed + 1;
-    ServingSimulator other_seed(system, llm, reseeded);
-    EXPECT_FALSE(other_seed.shareAnchorStoreWith(reference));
-
-    ServingConfig recalibrated = narrow;
-    recalibrated.calibrationTokens = narrow.calibrationTokens + 2;
-    ServingSimulator other_tokens(system, llm, recalibrated);
-    EXPECT_FALSE(other_tokens.shareAnchorStoreWith(reference));
-
-    ServingSimulator other_system(fastConfig(2), llm, narrow);
-    EXPECT_FALSE(other_system.shareAnchorStoreWith(reference));
-}
-
 TEST(Serving, StepwiseSessionMatchesClosedRun)
 {
     // The closed run() is one driver of the stepwise session
