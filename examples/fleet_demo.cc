@@ -27,8 +27,7 @@ namespace {
  * A custom control policy no enum ever offered: long generations go
  * to the replica with the fastest calibrated decode, short ones
  * round-robin across the rest.  Subscribes to nothing beyond
- * arrivals, so the kernel skips every optional hook and the
- * observation gather.
+ * arrivals, so the kernel skips every optional hook.
  */
 class LongToFastestPolicy final : public sched::ControlPolicy
 {

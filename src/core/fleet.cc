@@ -376,13 +376,6 @@ class EventKernel final : public sched::FleetView,
         warmupSeconds_.assign(n, 0.0);
         wakeScheduled_.assign(n, 0);
         deadNotified_.assign(n, 0);
-        if (wants_ & sched::ControlPolicy::kObservations) {
-            observed_.resize(n); // One buffer, reused per arrival.
-            // All replicas start dirty so the first gather samples
-            // everyone; afterwards only replicas the kernel touched
-            // since the last arrival are re-probed.
-            observedDirty_.assign(n, 1);
-        }
     }
 
     /** Drive the whole co-simulation (see class doc). */
@@ -452,7 +445,6 @@ class EventKernel final : public sched::FleetView,
             case sim::EventKind::StepComplete: {
                 const auto r =
                     static_cast<std::size_t>(event.replica);
-                markObservedDirty(r);
                 for (const std::uint64_t id :
                      replicas_[r]->completeWork())
                     queue_.push(event.time,
@@ -663,7 +655,6 @@ class EventKernel final : public sched::FleetView,
         decided_ = true;
         report_.assignment[arrivalIndex_] =
             static_cast<int>(replica);
-        markObservedDirty(replica);
         replicas_[replica]->deliver(workload_[arrivalIndex_]);
         // Wake an idle replica once all same-instant arrivals are
         // delivered (Wake sorts after Arrival at a tie), so a
@@ -713,8 +704,6 @@ class EventKernel final : public sched::FleetView,
                 "requests (running requests cannot be stolen)");
         const std::vector<serving::ServedRequest> stolen =
             replicas_[victim]->stealQueued(max_count);
-        markObservedDirty(thief);
-        markObservedDirty(victim);
         ++report_.kernelStats.steals;
         report_.kernelStats.stolenRequests += stolen.size();
         for (const serving::ServedRequest &request : stolen) {
@@ -745,7 +734,6 @@ class EventKernel final : public sched::FleetView,
         // Throws on a queued/unknown id before any state changes.
         const serving::ResumableRequest resumed =
             replicas_[replica]->preempt(id);
-        markObservedDirty(replica);
         ++report_.kernelStats.preemptions;
         // The KV stays cached on the replica: requeueing is free,
         // and the priority-aware admission decides who gets the
@@ -823,7 +811,6 @@ class EventKernel final : public sched::FleetView,
                 " is neither queued nor running on its replica");
         }
         ++resumed.migrations;
-        markObservedDirty(from);
         ++report_.kernelStats.migrations;
         // The accumulated KV travels over the DIMM-link fabric; the
         // destination sees the arrival only when the transfer lands
@@ -879,10 +866,6 @@ class EventKernel final : public sched::FleetView,
         warmupSeconds_.push_back(warmup);
         wakeScheduled_.push_back(0);
         deadNotified_.push_back(0);
-        if (!observedDirty_.empty()) {
-            observed_.push_back(sched::ReplicaObservation{});
-            observedDirty_.push_back(1);
-        }
         replica.beginSession();
         replica.reserveSession(16);
         ++report_.kernelStats.spawnedReplicas;
@@ -927,18 +910,6 @@ class EventKernel final : public sched::FleetView,
         std::uint32_t destination = 0;
     };
 
-    /**
-     * The kernel is the only actor that mutates replicas, so any
-     * mutation marks the replica's cached observation stale; the
-     * per-arrival gather then refreshes only the marked ones.
-     */
-    void
-    markObservedDirty(std::size_t replica)
-    {
-        if (!observedDirty_.empty())
-            observedDirty_[replica] = 1;
-    }
-
     /** Schedule a same-instant Wake for an idle replica (once). */
     void
     wakeIfIdle(std::uint32_t replica)
@@ -966,7 +937,6 @@ class EventKernel final : public sched::FleetView,
             break;
         case sched::ReplicaLifecycle::Warming:
             lifecycle_[replica] = sched::ReplicaLifecycle::Active;
-            markObservedDirty(replica);
             // The replica is routable from this instant; take an
             // idle boundary now so onReplicaIdle subscribers
             // (stealers, drain-migrate) see the fresh capacity
@@ -1052,7 +1022,6 @@ class EventKernel final : public sched::FleetView,
         // before the drain, like in-flight routed work), and one
         // whose capability probe later fails holds it like any
         // other delivery.
-        markObservedDirty(pending.destination);
         replicas_[pending.destination]->deliverResumed(
             pending.resumed, event.time,
             pending.resumed.tokensGenerated == 0
@@ -1094,8 +1063,8 @@ class EventKernel final : public sched::FleetView,
         onArrivalEvent(event);
     }
 
-    /** Arrival event: gather observations (if wanted), ask the
-     * policy for exactly one decision. */
+    /** Arrival event: ask the policy for exactly one decision; it
+     * reads replica state live through FleetView. */
     void
     onArrivalEvent(const sim::Event &event)
     {
@@ -1108,26 +1077,6 @@ class EventKernel final : public sched::FleetView,
         context.generateTokens = request.generateTokens;
         context.priority = request.priority;
         context.sessionId = request.sessionId;
-        if (wants_ & sched::ControlPolicy::kObservations) {
-            // Sample ground truth at the decision instant into the
-            // preallocated buffer.  The two direct probes, not
-            // snapshot(): the one-call snapshot now also copies the
-            // per-request lifecycle vectors, which this hot path
-            // does not want to allocate.  Only replicas the kernel
-            // touched since the last gather are re-probed — the
-            // values cannot have changed otherwise, so the refresh
-            // is bit-identical to a full rebuild.
-            for (std::size_t r = 0; r < replicas_.size(); ++r) {
-                if (!observedDirty_[r])
-                    continue;
-                observedDirty_[r] = 0;
-                observed_[r].outstanding =
-                    replicas_[r]->observedOutstanding();
-                observed_[r].backlogTokens =
-                    replicas_[r]->observedBacklogTokens();
-            }
-            context.observed = &observed_;
-        }
         inArrival_ = true;
         decided_ = false;
         arrivalIndex_ = event.id;
@@ -1173,7 +1122,6 @@ class EventKernel final : public sched::FleetView,
     void
     advance(std::size_t replica, Seconds now)
     {
-        markObservedDirty(replica);
         const serving::StepAction action =
             replicas_[replica]->startNextWork(now);
         schedule(replica, action);
@@ -1267,12 +1215,6 @@ class EventKernel final : public sched::FleetView,
     std::vector<Seconds> activeStart_;
     std::vector<Seconds> retiredAt_;
     std::vector<Seconds> warmupSeconds_;
-
-    std::vector<sched::ReplicaObservation> observed_;
-
-    /** Which observed_ rows are stale (empty without
-     * kObservations); see markObservedDirty(). */
-    std::vector<char> observedDirty_;
 
     /** id -> workload index, for steal/migrate re-assignment. */
     const IdIndex idIndex_;

@@ -1130,22 +1130,6 @@ ServingSimulator::queuedCount() const
                                       pending_.size());
 }
 
-ReplicaSnapshot
-ServingSimulator::snapshot() const
-{
-    ReplicaSnapshot snap;
-    snap.outstanding = observedOutstanding();
-    snap.queued = queuedCount();
-    snap.backlogTokens = observedBacklogTokens();
-    snap.busy = busy();
-    snap.knownServable = knownServable();
-    snap.knownDead = knownDead();
-    snap.runningRequests = runningInfos();
-    snap.queuedRequests = queuedInfos();
-    snap.cachedSessions = sessionKv_;
-    return snap;
-}
-
 std::vector<ServedRequest>
 ServingSimulator::stealQueued(std::uint32_t count)
 {

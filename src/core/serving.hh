@@ -328,43 +328,6 @@ struct SessionKv
     std::uint64_t tokens = 0;
 };
 
-/**
- * One-call observed-state snapshot of a replica at a boundary
- * instant: everything the fleet control plane (routing feedback,
- * stealing, future autoscaling) reads about a replica, gathered
- * together so the kernel pays one call per replica instead of a
- * probe per field.
- */
-struct ReplicaSnapshot
-{
-    /** Requests on the replica: running + queued + undecided. */
-    std::uint32_t outstanding = 0;
-
-    /** Requests queued but not yet in the running batch. */
-    std::uint32_t queued = 0;
-
-    /** Tokens still owed to requests on the replica. */
-    double backlogTokens = 0.0;
-
-    /** A prefill or decode step is in flight. */
-    bool busy = false;
-
-    /** Capability probe ran and passed. */
-    bool knownServable = false;
-
-    /** Capability probe ran and failed (dead replica). */
-    bool knownDead = false;
-
-    /** The running batch, batch order (== runningInfos()). */
-    std::vector<RequestInfo> runningRequests;
-
-    /** Queued requests, admission order (== queuedInfos()). */
-    std::vector<RequestInfo> queuedRequests;
-
-    /** Resident session KV, LRU first (== the eviction order). */
-    std::vector<SessionKv> cachedSessions;
-};
-
 /** What a replica does next on the shared clock. */
 enum class StepKind
 {
@@ -533,14 +496,11 @@ class ServingSimulator
     /** Queued requests in admission order (waiting, then pending). */
     std::vector<RequestInfo> queuedInfos() const;
 
-    /** All observed-state probes in one call (ReplicaSnapshot). */
-    ReplicaSnapshot snapshot() const;
-
     /**
      * KV context tokens of `session` resident here (0 when absent
      * or evicted).  A follow-up turn routed here prefills only its
      * prompt minus this prefix; the affinity policy scores replicas
-     * by exactly this probe (through the snapshot).
+     * by exactly this probe (through FleetView).
      */
     std::uint64_t cachedSessionTokens(std::uint64_t session) const;
 
@@ -781,9 +741,10 @@ class ServingSimulator
      * Tokens still owed to requests on this replica, maintained
      * incrementally at every delivery / admission / token /
      * preempt / steal instead of walking all three queues per
-     * observation — observedBacklogTokens() is O(1) on the kernel's
-     * per-arrival gather path.  Token counts are integral, so the
-     * counter equals the historical summation exactly.
+     * observation — observedBacklogTokens() is O(1) for the
+     * control policies' live FleetView probes.  Token counts are
+     * integral, so the counter equals the historical summation
+     * exactly.
      */
     std::uint64_t backlogOwed_ = 0;
 

@@ -51,13 +51,6 @@ class RouterControlPolicy final : public ControlPolicy
         return routerPolicyName(policy_);
     }
 
-    std::uint32_t wants() const override
-    {
-        return routerPolicyNeedsObservations(policy_)
-                   ? kObservations
-                   : kNone;
-    }
-
     void begin(const ControlContext &context) override
     {
         router_ = std::make_unique<Router>(
@@ -73,39 +66,23 @@ class RouterControlPolicy final : public ControlPolicy
                 "RouterControlPolicy: onArrival before begin()");
         // An autoscaler may have grown the fleet since begin():
         // give the router an (empty) queueing model for every new
-        // replica, and mask replicas that are not routable — still
-        // provisioning or warming, draining, or retired.  A fixed
-        // all-Active fleet passes no mask at all, so its decision
-        // sequence is bit-identical to the legacy router.  Dead
-        // replicas stay UNmasked on purpose: estimate policies have
-        // historically kept routing to them (only the feedback
-        // policies starve them), and that contract is pinned.
+        // replica.  The router masks replicas that are not Active
+        // itself (Router::route).
         const std::uint32_t n = view.replicaCount();
         while (router_->replicaCount() < n)
             router_->addReplica(
                 view.model(router_->replicaCount()));
-        eligible_.assign(n, 1);
-        bool restricted = false;
-        for (std::uint32_t r = 0; r < n; ++r) {
-            if (view.lifecycle(r) != ReplicaLifecycle::Active) {
-                eligible_[r] = 0;
-                restricted = true;
-            }
-        }
-        const RouteDecision decision = router_->route(
-            context.arrival, context.generateTokens,
-            context.observed, restricted ? &eligible_ : nullptr);
-        if (decision.replica < 0)
+        const int replica = router_->route(
+            context.arrival, context.generateTokens, view);
+        if (replica < 0)
             actions.shed();
         else
-            actions.routeTo(
-                static_cast<std::uint32_t>(decision.replica));
+            actions.routeTo(static_cast<std::uint32_t>(replica));
     }
 
   private:
     RouterPolicy policy_;
     std::unique_ptr<Router> router_;
-    std::vector<char> eligible_; ///< Reused across arrivals.
 };
 
 /**
@@ -168,11 +145,6 @@ class SloStealPolicy final : public ControlPolicy
 
     std::uint32_t wants() const override { return kIdle; }
 
-    void begin(const ControlContext &context) override
-    {
-        models_ = context.models;
-    }
-
     void onReplicaIdle(std::uint32_t replica, Seconds now,
                        const FleetView &view,
                        FleetActions &actions) override
@@ -209,8 +181,7 @@ class SloStealPolicy final : public ControlPolicy
         // strictly beats the victim's estimated wait — a slow thief
         // declines steals that would trade one queue's depth for a
         // worse tail.
-        const Seconds thief_ttft =
-            models_[replica].prefillSeconds;
+        const Seconds thief_ttft = view.model(replica).prefillSeconds;
         if (thief_ttft >= worst_wait)
             return;
         const std::uint32_t cap =
@@ -232,7 +203,7 @@ class SloStealPolicy final : public ControlPolicy
     {
         if (view.knownDead(replica))
             return std::numeric_limits<double>::infinity();
-        const ReplicaModel &model = models_[replica];
+        const ReplicaModel &model = view.model(replica);
         const double drain_rate =
             std::max(model.slotTokensPerSecond, 1.0e-9) *
             static_cast<double>(
@@ -240,8 +211,6 @@ class SloStealPolicy final : public ControlPolicy
         return view.observedBacklogTokens(replica) / drain_rate +
                model.prefillSeconds;
     }
-
-    std::vector<ReplicaModel> models_;
 };
 
 /**
@@ -259,12 +228,6 @@ class PriorityPreemptPolicy final : public ControlPolicy
     std::uint32_t wants() const override
     {
         return kReplicaEvents | kPreempt;
-    }
-
-    void begin(const ControlContext &context) override
-    {
-        models_ = context.models;
-        deadline_ = context.ttftDeadline;
     }
 
     void onPrefillComplete(std::uint32_t replica, Seconds now,
@@ -332,11 +295,12 @@ class PriorityPreemptPolicy final : public ControlPolicy
         // is the least-remaining running request finishing at the
         // calibrated full-batch step rate; after that the request
         // still pays its admission prefill.
-        const ReplicaModel &model = models_[replica];
+        const ReplicaModel &model = view.model(replica);
+        const Seconds deadline = view.ttftDeadline();
         const Seconds step =
             model.slotTokensPerSecond > 0.0
                 ? 1.0 / model.slotTokensPerSecond
-                : deadline_;
+                : deadline;
         std::uint32_t soonest = running.front().remainingTokens;
         for (const serving::RequestInfo &info : running)
             soonest = std::min(soonest, info.remainingTokens);
@@ -344,13 +308,10 @@ class PriorityPreemptPolicy final : public ControlPolicy
         const Seconds natural =
             age + static_cast<double>(soonest) * step +
             model.prefillSeconds;
-        if (natural <= deadline_)
+        if (natural <= deadline)
             return;
         actions.preempt(replica, victim->id);
     }
-
-    std::vector<ReplicaModel> models_;
-    Seconds deadline_ = 0.0;
 };
 
 /**
@@ -462,8 +423,6 @@ class AffinityPolicy final : public ControlPolicy
   public:
     std::string name() const override { return "affinity"; }
 
-    std::uint32_t wants() const override { return kObservations; }
-
     void onArrival(const ArrivalContext &context,
                    const FleetView &view,
                    FleetActions &actions) override
@@ -476,14 +435,17 @@ class AffinityPolicy final : public ControlPolicy
         // are skipped exactly like the kernel's routeTo would
         // reject them.
         std::uint32_t least = n;
+        std::uint32_t least_outstanding = 0;
         for (std::uint32_t r = 0; r < n; ++r) {
             if (view.knownDead(r) ||
                 view.lifecycle(r) != ReplicaLifecycle::Active)
                 continue;
-            if (least == n ||
-                (*context.observed)[r].outstanding <
-                    (*context.observed)[least].outstanding)
+            const std::uint32_t outstanding =
+                view.observedOutstanding(r);
+            if (least == n || outstanding < least_outstanding) {
                 least = r;
+                least_outstanding = outstanding;
+            }
         }
         if (least == n) {
             // Every replica is draining or dead; routing anywhere
@@ -530,9 +492,8 @@ class AffinityPolicy final : public ControlPolicy
         const double saved_seconds =
             static_cast<double>(cached) /
             std::max(holder_model.prefillTokensPerSecond, 1.0e-9);
-        const double gap =
-            (*context.observed)[holder].backlogTokens -
-            (*context.observed)[least].backlogTokens;
+        const double gap = view.observedBacklogTokens(holder) -
+                           view.observedBacklogTokens(least);
         const double drain_rate =
             std::max(holder_model.slotTokensPerSecond, 1.0e-9) *
             static_cast<double>(std::max<std::uint32_t>(

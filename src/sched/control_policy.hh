@@ -28,10 +28,10 @@
  * unknown request, migrating to a draining or dead replica — throw
  * std::logic_error instead of corrupting kernel state.
  *
- * The wants() bitmask is both a subscription list and a performance
- * contract: the kernel skips the O(replicas) observation gather at
- * arrival events unless kObservations is declared, and never calls
- * hooks the policy did not subscribe to.
+ * The wants() bitmask is both a subscription list and a capability
+ * grant: the kernel never calls hooks the policy did not subscribe
+ * to, and the lifecycle verbs throw without their bit.  FleetView's
+ * live probes are a policy's only read surface for replica state.
  *
  * All six RouterPolicy behaviors and the occupancy-greedy stealing
  * heuristic are built-in ControlPolicy implementations behind a
@@ -304,7 +304,10 @@ class FleetActions
     virtual void requestDrain(std::uint32_t replica) = 0;
 };
 
-/** Everything onArrival knows about the request being placed. */
+/**
+ * Everything onArrival knows about the request being placed.
+ * Replica state is read live through the FleetView passed alongside.
+ */
 struct ArrivalContext
 {
     std::uint64_t requestId = 0;
@@ -315,20 +318,16 @@ struct ArrivalContext
 
     /** Conversation this request belongs to; 0 = standalone. */
     std::uint64_t sessionId = 0;
-
-    /**
-     * One ground-truth observation per replica, sampled at this
-     * instant — or nullptr when the policy did not declare
-     * kObservations (the gather is O(replicas), so it is skipped
-     * unless asked for).
-     */
-    const std::vector<ReplicaObservation> *observed = nullptr;
 };
 
 /** Per-run binding handed to ControlPolicy::begin(). */
 struct ControlContext
 {
-    /** Calibrated queueing model of every replica, fleet order. */
+    /**
+     * Calibrated queueing model of every configured replica, fleet
+     * order.  Replicas spawned mid-run are not in it; a hook reads
+     * any replica's model through FleetView::model.
+     */
     std::vector<ReplicaModel> models;
 
     Seconds ttftDeadline = 0.0;
@@ -346,9 +345,6 @@ class ControlPolicy
     enum Wants : std::uint32_t
     {
         kNone = 0,
-
-        /** Gather ReplicaObservations before each onArrival. */
-        kObservations = 1u << 0,
 
         /** Deliver onPrefillComplete / onStepComplete. */
         kReplicaEvents = 1u << 1,

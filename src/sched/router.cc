@@ -9,6 +9,8 @@
 #include <utility>
 #include <vector>
 
+#include "sched/control_policy.hh"
+
 namespace hermes::sched {
 
 std::string
@@ -40,13 +42,6 @@ allRouterPolicies()
             RouterPolicy::SloAware,
             RouterPolicy::TrueJsq,
             RouterPolicy::LeastActualBacklog};
-}
-
-bool
-routerPolicyNeedsObservations(RouterPolicy policy)
-{
-    return policy == RouterPolicy::TrueJsq ||
-           policy == RouterPolicy::LeastActualBacklog;
 }
 
 RouterPolicy
@@ -192,54 +187,41 @@ Router::commit(std::uint32_t replica, Seconds arrival,
                    static_cast<double>(generate_tokens)});
 }
 
-RouteDecision
+int
 Router::route(Seconds arrival, std::uint32_t generate_tokens,
-              const std::vector<ReplicaObservation> *observed,
-              const std::vector<char> *eligible)
+              const FleetView &view)
 {
     const auto n =
         static_cast<std::uint32_t>(replicas_.size());
-    // Feedback policies rank by one observation per replica; the
-    // event kernel always gathers them for a policy that wants
-    // kObservations, so a missing or short vector is a caller bug.
-    if (routerPolicyNeedsObservations(policy_) &&
-        (observed == nullptr || observed->size() != n))
-        throw std::logic_error(
-            "Router::route: " + routerPolicyName(policy_) +
-            " needs one observation per replica");
-    // With a mask and no eligible replica there is nowhere legal to
-    // send the request: shed.  (With at least one eligible replica
-    // every ranking below finds a candidate, since the first
-    // eligible entry always beats the infinite initial best.)
-    const auto allowed = [eligible](std::uint32_t i) {
-        return eligible == nullptr || (*eligible)[i] != 0;
+    // Only Active replicas are ranked.  Dead replicas stay eligible
+    // on purpose: the estimate policies have always kept routing to
+    // them (only the feedback policies starve them), and that
+    // contract is pinned.  Each ranking reads a replica's lifecycle
+    // at most once; `chosen` stays n when no replica is eligible,
+    // and the request is shed.
+    const auto allowed = [&view](std::uint32_t i) {
+        return view.lifecycle(i) == ReplicaLifecycle::Active;
     };
-    if (eligible != nullptr) {
-        bool any = false;
-        for (std::uint32_t i = 0; i < n && !any; ++i)
-            any = (*eligible)[i] != 0;
-        if (!any) {
-            ++routed_;
-            return RouteDecision{
-                -1, std::numeric_limits<double>::infinity()};
-        }
-    }
-    std::uint32_t chosen = 0;
+    std::uint32_t chosen = n;
     switch (policy_) {
-    case RouterPolicy::RoundRobin:
-        chosen = static_cast<std::uint32_t>(routed_ % n);
+    case RouterPolicy::RoundRobin: {
         // The cursor position may be masked: take the next eligible
         // replica at or after it, preserving the interleave over
         // the eligible set.
-        while (!allowed(chosen))
-            chosen = (chosen + 1) % n;
+        const auto cursor = static_cast<std::uint32_t>(routed_ % n);
+        for (std::uint32_t k = 0; k < n && chosen == n; ++k) {
+            const std::uint32_t i = (cursor + k) % n;
+            if (allowed(i))
+                chosen = i;
+        }
         break;
+    }
     case RouterPolicy::TrueJsq: {
         std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
         for (std::uint32_t i = 0; i < n; ++i) {
             if (!allowed(i))
                 continue;
-            const std::uint32_t depth = (*observed)[i].outstanding;
+            const std::uint32_t depth = view.observedOutstanding(i);
             if (depth < best) {
                 best = depth;
                 chosen = i;
@@ -252,7 +234,7 @@ Router::route(Seconds arrival, std::uint32_t generate_tokens,
         for (std::uint32_t i = 0; i < n; ++i) {
             if (!allowed(i))
                 continue;
-            const double backlog = (*observed)[i].backlogTokens;
+            const double backlog = view.observedBacklogTokens(i);
             if (backlog < best) {
                 best = backlog;
                 chosen = i;
@@ -308,19 +290,18 @@ Router::route(Seconds arrival, std::uint32_t generate_tokens,
                 chosen = i;
             }
         }
-        if (best > deadline_) {
-            // Even the least-loaded replica would miss the deadline:
-            // shed at the door instead of poisoning the tail.
-            ++routed_;
-            return RouteDecision{-1, best};
-        }
+        // Even the least-loaded replica would miss the deadline:
+        // shed at the door instead of poisoning the tail.
+        if (best > deadline_)
+            chosen = n;
         break;
     }
     }
     ++routed_;
-    const Seconds ttft = estimateTtft(chosen, arrival);
+    if (chosen == n)
+        return -1;
     commit(chosen, arrival, generate_tokens);
-    return RouteDecision{static_cast<int>(chosen), ttft};
+    return static_cast<int>(chosen);
 }
 
 } // namespace hermes::sched

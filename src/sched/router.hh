@@ -21,9 +21,8 @@
  *  - TrueJsq / LeastActualBacklog: the feedback twins of
  *    JoinShortestQueue / LeastOutstandingTokens.  Instead of the
  *    calibrated estimate they rank replicas by *observed* state
- *    (actual occupancy / actual token backlog), which the fleet's
- *    event kernel samples at the arrival instant and passes into
- *    route().  Routing them without observations is a logic error.
+ *    (actual occupancy / actual token backlog), read live from the
+ *    fleet's FleetView at the arrival instant.
  *
  * The model is an estimate: the replica's own ServingSimulator run
  * remains the ground truth for timing.  Estimates only decide *where*
@@ -55,6 +54,8 @@
 
 namespace hermes::sched {
 
+class FleetView;
+
 /** Replica-selection policy of the fleet router. */
 enum class RouterPolicy
 {
@@ -77,23 +78,6 @@ std::vector<RouterPolicy> allRouterPolicies();
 
 /** Parse a display name back to a policy; throws on unknown names. */
 RouterPolicy routerPolicyByName(const std::string &name);
-
-/** Whether a policy ranks replicas by observed (not estimated) state. */
-bool routerPolicyNeedsObservations(RouterPolicy policy);
-
-/**
- * Ground-truth replica state sampled at a routing instant by the
- * fleet event kernel (core/event_sim.hh): what the estimate-based
- * policies approximate, the feedback policies consume directly.
- */
-struct ReplicaObservation
-{
-    /** Requests on the replica: running + queued + undecided. */
-    std::uint32_t outstanding = 0;
-
-    /** Tokens still owed to requests on the replica. */
-    double backlogTokens = 0.0;
-};
 
 /** The router's calibrated view of one replica. */
 struct ReplicaModel
@@ -135,16 +119,6 @@ struct ReplicaModel
     double typicalGenerateTokens = 0.0;
 };
 
-/** One routing decision. */
-struct RouteDecision
-{
-    /** Chosen replica, or < 0 when the request was shed (SloAware). */
-    int replica = -1;
-
-    /** Estimated time-to-first-token on the chosen replica. */
-    Seconds estimatedTtft = 0.0;
-};
-
 /**
  * Online router over a fixed replica set.  Feed arrivals in
  * non-decreasing arrival order; every accepted request updates the
@@ -161,25 +135,20 @@ class Router
            Seconds ttft_deadline = 2.0);
 
     /**
-     * Route one request arriving at `arrival`.  `observed`, when
-     * provided, carries one ground-truth ReplicaObservation per
-     * replica, sampled at this instant; the feedback policies
-     * (TrueJsq, LeastActualBacklog) rank by it and every other
-     * policy ignores it.  Throws std::logic_error when a feedback
-     * policy gets no vector or one of the wrong size.
-     *
-     * `eligible`, when provided, restricts every ranking to the
-     * replicas whose entry is non-zero — how the control plane
-     * masks replicas that exist but are not routable (still
-     * provisioning or warming after an autoscaler spawn, draining,
-     * retired).  With no eligible replica at all the request is
-     * shed (replica < 0).  Passing nullptr (or an all-true mask)
-     * reproduces the unmasked decision sequence bit for bit.
+     * Route one request arriving at `arrival`; returns the chosen
+     * replica, or -1 when the request is shed.  `view` is the
+     * fleet's live read surface and must cover every routed
+     * replica.  Only replicas whose view.lifecycle() is Active are
+     * ranked — how the control plane masks replicas that exist but
+     * are not routable (still provisioning or warming after an
+     * autoscaler spawn, draining, retired); with none Active the
+     * request is shed.  The feedback policies (TrueJsq,
+     * LeastActualBacklog) rank by the view's observedOutstanding /
+     * observedBacklogTokens; every other policy ranks by the
+     * router's own estimate.
      */
-    RouteDecision
-    route(Seconds arrival, std::uint32_t generate_tokens,
-          const std::vector<ReplicaObservation> *observed = nullptr,
-          const std::vector<char> *eligible = nullptr);
+    int route(Seconds arrival, std::uint32_t generate_tokens,
+              const FleetView &view);
 
     /**
      * Append a replica to the routed set with an empty queueing
@@ -195,6 +164,7 @@ class Router
         return static_cast<std::uint32_t>(replicas_.size());
     }
 
+  private:
     /** Outstanding (routed, not estimated-finished) requests. */
     std::uint32_t outstandingRequests(std::uint32_t replica,
                                       Seconds now) const;
@@ -209,7 +179,6 @@ class Router
     double outstandingTokens(std::uint32_t replica,
                              Seconds now) const;
 
-  private:
     struct Commitment
     {
         Seconds decodeStart = 0.0; ///< Prefill done, tokens flowing.

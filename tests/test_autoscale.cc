@@ -425,6 +425,9 @@ class FakeFleetView final : public sched::FleetView
         std::uint32_t outstanding = 0;
         double backlogTokens = 0.0;
         std::uint64_t cachedTokens = 0; ///< For session 1.
+        bool busy = false;
+        std::vector<serving::RequestInfo> running{};
+        std::vector<serving::RequestInfo> queued{};
     };
 
     std::vector<Replica> replicas;
@@ -442,7 +445,10 @@ class FakeFleetView final : public sched::FleetView
     {
         return replicas[replica].model.maxBatch;
     }
-    bool busy(std::uint32_t) const override { return false; }
+    bool busy(std::uint32_t replica) const override
+    {
+        return replicas[replica].busy;
+    }
     bool knownServable(std::uint32_t replica) const override
     {
         return !replicas[replica].dead;
@@ -481,14 +487,14 @@ class FakeFleetView final : public sched::FleetView
         return replicas[replica].backlogTokens;
     }
     std::vector<serving::RequestInfo>
-    runningRequests(std::uint32_t) const override
+    runningRequests(std::uint32_t replica) const override
     {
-        return {};
+        return replicas[replica].running;
     }
     std::vector<serving::RequestInfo>
-    queuedRequests(std::uint32_t) const override
+    queuedRequests(std::uint32_t replica) const override
     {
-        return {};
+        return replicas[replica].queued;
     }
     serving::RequestState
     requestState(std::uint32_t, std::uint64_t) const override
@@ -504,13 +510,15 @@ class FakeFleetView final : public sched::FleetView
     Seconds ttftDeadline() const override { return 2.0; }
 };
 
-/** Records every action; spawn/drain/route are assertion targets. */
+/** Records every action; each verb's calls are assertion targets. */
 class RecordingActions final : public sched::FleetActions
 {
   public:
     std::vector<std::uint32_t> routes;
     std::vector<sched::ReplicaSpec> spawns;
     std::vector<std::uint32_t> drains;
+    std::vector<std::uint32_t> stealThieves;
+    std::vector<std::uint64_t> preempted;
     std::uint32_t sheds = 0;
 
     void routeTo(std::uint32_t replica) override
@@ -518,12 +526,16 @@ class RecordingActions final : public sched::FleetActions
         routes.push_back(replica);
     }
     void shed() override { ++sheds; }
-    std::uint32_t steal(std::uint32_t, std::uint32_t,
+    std::uint32_t steal(std::uint32_t thief, std::uint32_t,
                         std::uint32_t) override
     {
+        stealThieves.push_back(thief);
         return 0;
     }
-    void preempt(std::uint32_t, std::uint64_t) override {}
+    void preempt(std::uint32_t, std::uint64_t id) override
+    {
+        preempted.push_back(id);
+    }
     void migrate(std::uint64_t, std::uint32_t) override {}
     std::uint32_t
     spawnReplica(const sched::ReplicaSpec &spec) override
@@ -638,13 +650,10 @@ TEST(Autoscale, AffinityConvertsCachedTokensThroughThePrefillRate)
     view.replicas.push_back({unitModel(),
                              sched::ReplicaLifecycle::Active,
                              false, 0, 0.0, 0});
-    std::vector<sched::ReplicaObservation> observed{
-        {3, 100.0}, {0, 0.0}};
 
     sched::ArrivalContext arrival;
     arrival.requestId = 7;
     arrival.sessionId = 1;
-    arrival.observed = &observed;
 
     // Gap 100 tokens = 2.5 s of extra queueing against 0.2 s of
     // saved prefill: leave the holder (the old 1:1 rule, 512 >= 100,
@@ -657,11 +666,93 @@ TEST(Autoscale, AffinityConvertsCachedTokensThroughThePrefillRate)
     // Gap 6 tokens = 0.15 s: the resident prefix now pays for the
     // deeper queue — stick.
     view.replicas[0].backlogTokens = 6.0;
-    observed[0].backlogTokens = 6.0;
     RecordingActions stick;
     affinity->onArrival(arrival, view, stick);
     ASSERT_EQ(stick.routes.size(), 1u);
     EXPECT_EQ(stick.routes[0], 0u);
+}
+
+// ---- Replicas spawned after begin() ------------------------------
+//
+// begin() hands a policy the models of the configured fleet only.
+// A replica spawned mid-run exists only in the live FleetView, so a
+// policy that indexed a begin()-time copy by its index would read
+// past the end.  Each test runs the same decision twice, changing
+// only the spawned replica's view.model(), and pins that the
+// decision follows it.
+
+TEST(Autoscale, SloStealReadsASpawnedThiefsModelLive)
+{
+    auto policy = sched::makeSloStealPolicy();
+    sched::ControlContext context;
+    context.models = {unitModel(), unitModel()};
+    context.ttftDeadline = 2.0;
+    policy->begin(context);
+
+    // Busy victim 0 holds 4 queued requests and a 40-token backlog:
+    // 40 tokens at the unit model's 40 tokens/s drain rate plus one
+    // 0.05 s prefill, about 1 s of estimated wait.  Replica 1 is
+    // idle and empty; idle thief 2 was spawned after begin().
+    FakeFleetView view;
+    view.replicas.push_back({unitModel(),
+                             sched::ReplicaLifecycle::Active,
+                             false, 4, 40.0, 0, true});
+    view.replicas.push_back({unitModel(),
+                             sched::ReplicaLifecycle::Active,
+                             false, 0, 0.0, 0});
+    view.replicas.push_back({unitModel(),
+                             sched::ReplicaLifecycle::Active,
+                             false, 0, 0.0, 0});
+
+    // A 5 s prefill cannot beat a 1 s wait: the thief declines.
+    view.replicas[2].model.prefillSeconds = 5.0;
+    RecordingActions declined;
+    policy->onReplicaIdle(2, 1.0, view, declined);
+    EXPECT_TRUE(declined.stealThieves.empty());
+
+    // The same thief with a 0.01 s prefill steals.
+    view.replicas[2].model.prefillSeconds = 0.01;
+    RecordingActions stole;
+    policy->onReplicaIdle(2, 1.0, view, stole);
+    ASSERT_EQ(stole.stealThieves.size(), 1u);
+    EXPECT_EQ(stole.stealThieves[0], 2u);
+}
+
+TEST(Autoscale, PriorityPreemptReadsASpawnedReplicasModelLive)
+{
+    auto policy = sched::makePriorityPreemptPolicy();
+    sched::ControlContext context;
+    context.models = {unitModel(), unitModel()};
+    context.ttftDeadline = 2.0;
+    policy->begin(context);
+
+    // Spawned replica 2 at a decode boundary: a full batch of four
+    // priority-0 requests, one token left each, and a priority-1
+    // request queued since t = 0.
+    FakeFleetView view;
+    for (int r = 0; r < 3; ++r)
+        view.replicas.push_back({unitModel(),
+                                 sched::ReplicaLifecycle::Active,
+                                 false, 0, 0.0, 0});
+    for (std::uint64_t id = 0; id < 4; ++id)
+        view.replicas[2].running.push_back({id, 0, 0.0, 1, 1});
+    view.replicas[2].queued.push_back({9, 1, 0.0, 0, 8});
+
+    // At t = 0.5 the queued request waits one 0.1 s step for a free
+    // slot, then pays its prefill.  A 5 s prefill misses the 2 s
+    // deadline: evict the lowest-priority running request (ties:
+    // highest id).
+    view.replicas[2].model.prefillSeconds = 5.0;
+    RecordingActions evicted;
+    policy->onStepComplete(2, 0.5, view, evicted);
+    ASSERT_EQ(evicted.preempted.size(), 1u);
+    EXPECT_EQ(evicted.preempted[0], 3u);
+
+    // A 0.05 s prefill meets the deadline without preempting.
+    view.replicas[2].model.prefillSeconds = 0.05;
+    RecordingActions waited;
+    policy->onStepComplete(2, 0.5, view, waited);
+    EXPECT_TRUE(waited.preempted.empty());
 }
 
 // ---- The headline: scaler vs every fixed fleet size ---------------

@@ -563,10 +563,6 @@ TEST(ControlPlane, RegistryRoundTripsAndComposes)
     EXPECT_EQ(composite->name(), "least-tokens+slo-steal");
     EXPECT_TRUE(composite->wants() &
                 sched::ControlPolicy::kIdle);
-    EXPECT_FALSE(composite->wants() &
-                 sched::ControlPolicy::kObservations);
-    EXPECT_TRUE(sched::controlPolicyByName("true-jsq")->wants() &
-                sched::ControlPolicy::kObservations);
     EXPECT_TRUE(
         sched::controlPolicyByName("priority-preempt")->wants() &
         sched::ControlPolicy::kPreempt);

@@ -2,15 +2,13 @@
  * @file
  * Tests for the scheduling stack: offline ILP partitioner (validated
  * against exhaustive optima), the lightweight predictor, the online
- * mapper, the window-based rebalancer, and the fleet router's
- * preconditions.
+ * mapper, and the window-based rebalancer.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 #include <vector>
 
 #include "model/llm_config.hh"
@@ -18,7 +16,6 @@
 #include "sched/mapper.hh"
 #include "sched/placement.hh"
 #include "sched/predictor.hh"
-#include "sched/router.hh"
 #include "sched/window_scheduler.hh"
 
 namespace hermes::sched {
@@ -626,31 +623,6 @@ TEST(WindowSchedulerTest, RebalanceClearsTheWindow)
     scheduler.rebalance(placement, 10);
     EXPECT_FALSE(scheduler.windowComplete());
     EXPECT_EQ(scheduler.activity(0), 0u);
-}
-
-// ---------------------------------------------------------------
-// Fleet router.
-// ---------------------------------------------------------------
-
-TEST(Router, FeedbackPoliciesRequireOneObservationPerReplica)
-{
-    // The feedback policies rank by observed replica state: routing
-    // one without observations, or with a vector of the wrong size,
-    // is a caller bug and must not silently fall back to the
-    // estimate twin.
-    const std::vector<ReplicaModel> models(2);
-    const std::vector<ReplicaObservation> one(1);
-    const std::vector<ReplicaObservation> two(2);
-    for (const RouterPolicy policy :
-         {RouterPolicy::TrueJsq, RouterPolicy::LeastActualBacklog}) {
-        Router router(policy, models);
-        EXPECT_THROW(router.route(0.0, 8), std::logic_error);
-        EXPECT_THROW(router.route(0.0, 8, &one), std::logic_error);
-        EXPECT_GE(router.route(0.0, 8, &two).replica, 0);
-    }
-    // Estimate policies never read observations.
-    Router estimate(RouterPolicy::JoinShortestQueue, models);
-    EXPECT_GE(estimate.route(0.0, 8).replica, 0);
 }
 
 } // namespace
