@@ -1541,13 +1541,15 @@ FleetSimulator::runKernel(
 
     const WorkloadShape shape = workloadShape(workload);
     const double calibration_start = totalCalibrationSeconds();
-    std::vector<sched::ReplicaModel> models = calibrateAll(shape);
     // A session trace announces its whole context trajectory up
     // front (every turn's prompt already carries its history):
     // pre-warm the surface across the warming pool instead of
     // paying one cold bucket per growing turn inside the loop.
+    // Warming first lets the pool, not the serial calibration
+    // below, plan each batch row; cache fills are order-independent.
     if (sessions != nullptr)
         warmSessionCosts(shape.maxContext);
+    std::vector<sched::ReplicaModel> models = calibrateAll(shape);
     const double calibration_warm = totalCalibrationSeconds();
 
     // The kernel keeps the calibration operating point so a replica

@@ -313,7 +313,8 @@ class FleetSimulator
      * model oversized grids are skipped (the run would not touch
      * most of them either).  Warming is observable only as
      * wall-clock time — cache fills are order-independent and never
-     * latch saturation, so warmed runs stay bit-identical.
+     * latch saturation, so warmed runs stay bit-identical.  Runs
+     * before calibrateAll, so the pool plans each batch row once.
      */
     void warmSessionCosts(std::uint64_t max_context);
 

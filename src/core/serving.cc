@@ -242,16 +242,27 @@ ServingSimulator::simulateCosts(runtime::InferenceEngine &engine,
     return step;
 }
 
+runtime::InferenceEngine &
+ServingSimulator::rowEngine(std::size_t row)
+{
+    auto &engines = cache_->engines;
+    if (engines.size() <= row)
+        engines.resize(row + 1);
+    if (!engines[row])
+        engines[row] = runtime::makeEngine(config_.engine, system_);
+    return *engines[row];
+}
+
 ServingSimulator::StepCosts
 ServingSimulator::exactCosts(std::uint32_t batch_bucket,
                              std::uint64_t seq_bucket)
 {
     CostCache &cache = *cache_;
-    if (!cache.engine)
-        cache.engine = runtime::makeEngine(config_.engine, system_);
+    runtime::InferenceEngine &engine = rowEngine(
+        static_cast<std::size_t>(std::countr_zero(batch_bucket)));
     const auto start = std::chrono::steady_clock::now();
-    const StepCosts step = simulateCosts(
-        *cache.engine, llm_, config_, batch_bucket, seq_bucket);
+    const StepCosts step = simulateCosts(engine, llm_, config_,
+                                         batch_bucket, seq_bucket);
     cache.engineSeconds +=
         std::chrono::duration<double>(
             std::chrono::steady_clock::now() - start)
@@ -429,16 +440,32 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
         return findCosts(key.row, key.column) != nullptr;
     });
 
+    // Whole rows go to workers: [row_starts[k], row_starts[k + 1]) is
+    // the k-th row of `needed`, which is sorted by row.
+    std::vector<std::size_t> row_starts;
+    for (std::size_t i = 0; i < needed.size(); ++i) {
+        if (i == 0 || needed[i].row != needed[i - 1].row)
+            row_starts.push_back(i);
+    }
+    const std::size_t rows = row_starts.size();
+    row_starts.push_back(needed.size());
+
     // `threads` arrives pre-resolved from the fleet layer, but a
     // direct warmCosts(probes, 0) call must still get one worker,
     // not a zero-thread pool.
     const auto workers = static_cast<std::uint32_t>(
-        resolveWorkerCount(threads, 1, needed.size()));
+        resolveWorkerCount(threads, 1, rows));
     if (workers > 1) {
-        // Parallel fill: each worker owns a private engine and a
-        // private timing accumulator; results land in a slot array
+        // Parallel fill: the row engines are built here, serially;
+        // each worker then owns the rows it takes, so every engine is
+        // used by one thread and plans its row once.  Workers keep
+        // private timing accumulators; results land in a slot array
         // and are inserted sequentially afterwards, so the cache
         // contents are independent of thread interleaving.
+        std::vector<runtime::InferenceEngine *> engines;
+        engines.reserve(rows);
+        for (std::size_t k = 0; k < rows; ++k)
+            engines.push_back(&rowEngine(needed[row_starts[k]].row));
         std::vector<StepCosts> computed(needed.size());
         std::vector<double> seconds(workers, 0.0);
         std::atomic<std::size_t> cursor{0};
@@ -446,20 +473,21 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
         pool.reserve(workers);
         for (std::uint32_t w = 0; w < workers; ++w) {
             pool.emplace_back([&, w] {
-                auto engine =
-                    runtime::makeEngine(config_.engine, system_);
                 for (;;) {
-                    const std::size_t i =
+                    const std::size_t k =
                         cursor.fetch_add(1,
                                          std::memory_order_relaxed);
-                    if (i >= needed.size())
+                    if (k >= rows)
                         break;
                     const auto start =
                         std::chrono::steady_clock::now();
-                    computed[i] = simulateCosts(
-                        *engine, llm_, config_,
-                        needed[i].batchBucket,
-                        (needed[i].column + 1) * config_.seqBucket);
+                    for (std::size_t i = row_starts[k];
+                         i < row_starts[k + 1]; ++i)
+                        computed[i] = simulateCosts(
+                            *engines[k], llm_, config_,
+                            needed[i].batchBucket,
+                            (needed[i].column + 1) *
+                                config_.seqBucket);
                     seconds[w] +=
                         std::chrono::duration<double>(
                             std::chrono::steady_clock::now() -
@@ -487,7 +515,7 @@ ServingSimulator::warmCosts(const std::vector<CostProbe> &probes,
     // Materialize the interpolated cells so the event loop's first
     // touch of every probed bucket is a pure cache hit.  Cells whose
     // anchors turned out saturated/unservable fall back to exact
-    // simulations here (sequential, pooled engine).
+    // simulations here (sequential, on the row engines).
     if (config_.costModel == CostModel::Interp) {
         for (const Key &cell : cells) {
             if (findCosts(cell.row, cell.column) != nullptr)

@@ -546,7 +546,9 @@ class ServingSimulator
      * reduced to the anchor buckets it needs, so warming a whole
      * context trajectory costs only the log-spaced anchors.  With
      * `threads` > 1 the missing engine simulations run on a local
-     * thread pool (each worker owns a private engine); results are
+     * thread pool that takes whole batch-bucket rows, each on its
+     * row's pooled engine, so a row's context-free plan is built
+     * once and its later misses reuse it; results are
      * inserted sequentially in a fixed order afterwards, and cache
      * fills are order-independent, so warmed and unwarmed runs are
      * bit-identical — warming changes wall-clock time and nothing
@@ -610,13 +612,17 @@ class ServingSimulator
             overflow; ///< Per row, sorted by context bucket.
 
         /**
-         * Pooled engine: constructed once per cache (== once per
-         * shareCostCacheWith group) and reused across misses.
-         * Engines are pure functions of their configuration — run()
-         * mutates nothing — so reuse is bit-identical to the old
-         * engine-per-miss behavior, minus the construction cost.
+         * Pooled engines, one per batch-bucket row, built lazily and
+         * shared by the shareCostCacheWith group.  `run()` is a pure
+         * function of the request and the configuration, so reuse is
+         * bit-identical to an engine per miss; an engine may memoize
+         * the context-free part of its last request (Hermes plans
+         * once per batch), which a row's context buckets then reuse.
+         * An engine is not thread-safe: warmCosts() hands each row to
+         * one worker.
          */
-        std::unique_ptr<runtime::InferenceEngine> engine;
+        std::vector<std::unique_ptr<runtime::InferenceEngine>>
+            engines;
 
         /** Wall-clock spent in engine simulations, and how many. */
         double engineSeconds = 0.0;
@@ -636,10 +642,13 @@ class ServingSimulator
     void storeCosts(std::size_t row, std::uint64_t column,
                     const StepCosts &step);
 
+    /** The pooled engine of cost-cache row `row`, built on demand. */
+    runtime::InferenceEngine &rowEngine(std::size_t row);
+
     /**
      * One exact engine simulation of (batch_bucket, seq_bucket),
-     * including the batch-halving capacity fallback, on the pooled
-     * engine.  Does not touch the cache or saturated_.
+     * including the batch-halving capacity fallback, on the row's
+     * pooled engine.  Does not touch the cache or saturated_.
      */
     StepCosts exactCosts(std::uint32_t batch_bucket,
                          std::uint64_t seq_bucket);
@@ -666,7 +675,7 @@ class ServingSimulator
     /**
      * The raw engine simulation behind exactCosts(), on a
      * caller-supplied engine — what the parallel warming workers run
-     * with their thread-private engines.
+     * on the rows they own.
      */
     static StepCosts simulateCosts(runtime::InferenceEngine &engine,
                                    const model::LlmConfig &llm,

@@ -34,6 +34,8 @@ struct InferenceRequest
 
     /** Workload seed (activation trace). */
     std::uint64_t seed = 1;
+
+    bool operator==(const InferenceRequest &) const = default;
 };
 
 /** Fig. 12 latency-breakdown categories. */

@@ -31,13 +31,17 @@ enum class EngineKind
 /**
  * Instantiate an engine on the given platform.
  *
- * Engines are pure cost models: construction captures only the
- * platform configuration, and `run()` derives every result from the
- * request plus that configuration — no mutable state survives a
- * call.  The serving layer's cost caches rely on this contract to
- * pool one engine per replica cache group and to run calibration on
- * thread-private engines: any engine, constructed anywhere, must
- * return identical results for identical requests.
+ * Engines are pure cost models: `run()` is a pure function of the
+ * request and the platform configuration the engine was built with.
+ * An engine may keep memos that only save work — the Hermes engine
+ * reuses the context-free plan of its last request, the NDP-DIMM
+ * model its measured DRAM bandwidths — but no call may change what a
+ * later call returns: any engine, constructed anywhere, with any call
+ * history, must return identical results for identical requests.
+ * Memos make an engine instance not thread-safe; use one engine per
+ * thread.  The serving layer's cost caches rely on this contract to
+ * pool one engine per batch-bucket row of a replica cache group and
+ * to warm those rows on a thread pool, each row on one worker.
  */
 std::unique_ptr<InferenceEngine> makeEngine(EngineKind kind,
                                             const SystemConfig &config);

@@ -7,7 +7,9 @@
  */
 
 #include <cstdint>
+#include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -244,6 +246,8 @@ TEST(CostModel, WarmCostsIsInvisibleExceptForWallClock)
     // latches saturation, and leaves every subsequent probe a pure
     // hit — so a warmed simulator and a cold one agree bit for
     // bit, in both cost models and regardless of thread count.
+    // Three batch rows over 1-8 threads: a worker may own several
+    // rows, and threads beyond the row count stay unused.
     for (const CostModel model :
          {CostModel::Exact, CostModel::Interp}) {
         // Exact mode warms every probed cell, so keep its grid
@@ -254,41 +258,49 @@ TEST(CostModel, WarmCostsIsInvisibleExceptForWallClock)
         const std::uint64_t max_column =
             model == CostModel::Exact ? 9 : 40;
         std::vector<CostProbe> probes;
-        for (const std::uint32_t batch : {1u, 4u}) {
+        for (const std::uint32_t batch : {1u, 2u, 4u}) {
             for (std::uint64_t column = 0; column <= max_column;
                  ++column)
                 probes.push_back(
                     CostProbe{batch, column * 256});
         }
-        ServingSimulator warmed(fastConfig(4), model::opt13b(),
-                                costServing(model, 256));
-        ServingSimulator parallel_warmed(
-            fastConfig(4), model::opt13b(), costServing(model, 256));
         ServingSimulator cold(fastConfig(4), model::opt13b(),
                               costServing(model, 256));
-        warmed.warmCosts(probes, 1);
-        parallel_warmed.warmCosts(probes, 4);
-        EXPECT_FALSE(warmed.saturated());
-        EXPECT_EQ(warmed.calibrationRuns(),
-                  parallel_warmed.calibrationRuns());
-        const std::uint64_t warm_runs = warmed.calibrationRuns();
+        std::vector<double> expected;
         for (const CostProbe &probe : probes) {
-            const double expected =
-                cold.tokenSeconds(probe.batch, probe.seq);
-            EXPECT_DOUBLE_EQ(
-                warmed.tokenSeconds(probe.batch, probe.seq),
-                expected);
-            EXPECT_DOUBLE_EQ(parallel_warmed.tokenSeconds(
-                                 probe.batch, probe.seq),
-                             expected);
+            expected.push_back(
+                cold.prefillSeconds(probe.batch, probe.seq));
+            expected.push_back(
+                cold.tokenSeconds(probe.batch, probe.seq));
         }
-        // Every probe after warming was a pure hit.
-        EXPECT_EQ(warmed.calibrationRuns(), warm_runs);
-        EXPECT_EQ(parallel_warmed.calibrationRuns(), warm_runs);
-        if (model == CostModel::Interp) {
-            // Warming a whole trajectory costs only the anchors,
-            // strictly fewer simulations than there are cells.
-            EXPECT_LT(warm_runs, probes.size());
+
+        std::uint64_t serial_runs = 0;
+        for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+            SCOPED_TRACE("threads " + std::to_string(threads));
+            ServingSimulator warmed(fastConfig(4), model::opt13b(),
+                                    costServing(model, 256));
+            warmed.warmCosts(probes, threads);
+            EXPECT_FALSE(warmed.saturated());
+            const std::uint64_t warm_runs = warmed.calibrationRuns();
+            if (threads == 1)
+                serial_runs = warm_runs;
+            EXPECT_EQ(warm_runs, serial_runs);
+            for (std::size_t i = 0; i < probes.size(); ++i) {
+                const CostProbe &probe = probes[i];
+                EXPECT_EQ(
+                    warmed.prefillSeconds(probe.batch, probe.seq),
+                    expected[2 * i]);
+                EXPECT_EQ(warmed.tokenSeconds(probe.batch, probe.seq),
+                          expected[2 * i + 1]);
+            }
+            // Every probe after warming was a pure hit.
+            EXPECT_EQ(warmed.calibrationRuns(), warm_runs);
+            if (model == CostModel::Interp) {
+                // Warming a whole trajectory costs only the
+                // anchors, strictly fewer simulations than there
+                // are cells.
+                EXPECT_LT(warm_runs, probes.size());
+            }
         }
     }
 }

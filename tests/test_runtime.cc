@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "model/llm_config.hh"
 #include "runtime/factory.hh"
 #include "runtime/hermes_engine.hh"
@@ -44,10 +49,15 @@ tokensPerSecond(EngineKind kind, const InferenceRequest &request,
     return result.tokensPerSecond;
 }
 
-TEST(Engines, Fig9OrderingHoldsOnOpt66b)
+/** Fig. 9 on each offloaded OPT model the figure plots. */
+class Fig9Ordering : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(Fig9Ordering, Holds)
 {
     const SystemConfig config = fastPlatform();
-    const InferenceRequest request = requestFor("OPT-66B");
+    const InferenceRequest request = requestFor(GetParam());
     const double accelerate =
         tokensPerSecond(EngineKind::Accelerate, request, config);
     const double flexgen =
@@ -68,6 +78,15 @@ TEST(Engines, Fig9OrderingHoldsOnOpt66b)
     EXPECT_GT(hermes / flexgen, 20.0);
     EXPECT_GT(hermes / dejavu, 10.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, Fig9Ordering,
+    ::testing::Values("OPT-13B", "OPT-30B", "OPT-66B"),
+    [](const ::testing::TestParamInfo<const char *> &info) {
+        std::string name = info.param;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 TEST(Engines, Fig10SparsityAndNdpBothMatter)
 {
@@ -366,6 +385,100 @@ TEST(Engines, OracleRebalanceRunsAndStaysClose)
     const double oracle_rate =
         oracle->run(request).tokensPerSecond;
     EXPECT_GT(greedy_rate, 0.85 * oracle_rate);
+}
+
+TEST(Engines, HermesRepricesContextsBitIdentically)
+{
+    // One engine answers an interleaved request stream: contexts that
+    // reuse its memoized plan, a changed batch, seed and length that
+    // re-plan, and a request whose KV cache does not fit.  Every
+    // answer must equal a fresh engine's, on every Fig. 13 variant
+    // and the oracle rebalance.
+    const auto variant = [](bool partition, bool token, bool layer,
+                            bool rebalance) {
+        SystemConfig config;
+        config.simulatedLayers = 2;
+        config.sched.offlinePartition = partition;
+        config.sched.onlineAdjustment = token || layer;
+        config.sched.tokenWisePrediction = token;
+        config.sched.layerWisePrediction = layer;
+        config.sched.windowRebalance = rebalance;
+        return config;
+    };
+    std::vector<SystemConfig> configs = {
+        variant(false, false, false, false), // Hermes-random.
+        variant(true, false, false, false),  // Hermes-partition.
+        variant(true, true, false, false),   // Token adjustment.
+        variant(true, false, true, false),   // Layer adjustment.
+        variant(true, true, true, false),    // Hermes-adjustment.
+        variant(true, true, true, true),     // Full Hermes.
+    };
+    configs.push_back(configs.back());
+    configs.back().sched.oracleRebalance = true;
+
+    const auto request = [](std::uint32_t batch, std::uint32_t prompt,
+                            std::uint64_t seed = 1,
+                            std::uint32_t generate = 4) {
+        InferenceRequest r;
+        r.llm = model::modelByName("OPT-13B");
+        r.batch = batch;
+        r.promptTokens = prompt;
+        r.generateTokens = generate;
+        r.profileTokens = 8;
+        r.seed = seed;
+        return r;
+    };
+    std::vector<InferenceRequest> stream;
+    for (const std::uint32_t batch : {1u, 8u}) {
+        for (const std::uint32_t prompt : {128u, 4096u, 128u, 20000u})
+            stream.push_back(request(batch, prompt));
+    }
+    stream.push_back(request(8, 60000)); // KV exceeds the DIMM pool.
+    stream.push_back(request(8, 4096));
+    stream.push_back(request(8, 128, 2));
+    stream.push_back(request(8, 4096, 2));
+    stream.push_back(request(8, 4096, 1, 6));
+    stream.push_back(request(1, 20000, 2));
+
+    for (const SystemConfig &config : configs) {
+        HermesEngine engine(config);
+        bool saw_unsupported = false;
+        for (const InferenceRequest &r : stream) {
+            SCOPED_TRACE("batch " + std::to_string(r.batch) +
+                         " prompt " + std::to_string(r.promptTokens) +
+                         " seed " + std::to_string(r.seed) +
+                         " generate " +
+                         std::to_string(r.generateTokens));
+            const InferenceResult got = engine.run(r);
+            const InferenceResult want = HermesEngine(config).run(r);
+            saw_unsupported |= !got.supported;
+            EXPECT_EQ(got.supported, want.supported);
+            EXPECT_EQ(got.unsupportedReason, want.unsupportedReason);
+            EXPECT_EQ(got.prefillTime, want.prefillTime);
+            EXPECT_EQ(got.generateTime, want.generateTime);
+            EXPECT_EQ(got.tokensPerSecond, want.tokensPerSecond);
+            EXPECT_EQ(got.breakdown.fc, want.breakdown.fc);
+            EXPECT_EQ(got.breakdown.attention,
+                      want.breakdown.attention);
+            EXPECT_EQ(got.breakdown.predictor,
+                      want.breakdown.predictor);
+            EXPECT_EQ(got.breakdown.prefill, want.breakdown.prefill);
+            EXPECT_EQ(got.breakdown.communication,
+                      want.breakdown.communication);
+            EXPECT_EQ(got.breakdown.others, want.breakdown.others);
+            const auto &counters = got.stats.counters();
+            ASSERT_EQ(counters.size(), want.stats.counters().size());
+            for (const auto &[name, counter] : counters) {
+                ASSERT_TRUE(want.stats.hasCounter(name)) << name;
+                const Counter &expected =
+                    want.stats.counters().at(name);
+                EXPECT_EQ(counter.value(), expected.value()) << name;
+                EXPECT_EQ(counter.samples(), expected.samples())
+                    << name;
+            }
+        }
+        EXPECT_TRUE(saw_unsupported);
+    }
 }
 
 } // namespace
