@@ -22,14 +22,17 @@
  * A final section re-runs one cell from scratch and checks the
  * rendered report is byte-identical — the reproducibility contract
  * the regression tests rely on; the process exits non-zero when it
- * fails.
+ * fails.  Each section ends with a `[wall] <section>: <ms> ms` line,
+ * so a tier's wall time is attributed section by section.
  *
  * Everything is configurable from the command line (see --help);
  * `--smoke` runs a seconds-long subset for CI and `--scale` is the
  * 32-replica / 2000-request configuration ROADMAP asks for.
  */
 
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -143,6 +146,29 @@ struct LoopMeter
     }
 };
 
+/**
+ * Render one run twice, each time on a fresh fleet, and report
+ * whether the rows are byte-identical — the reproducibility
+ * contract the regression tests rely on.
+ */
+bool
+sameSeedTwice(const std::function<std::string()> &render)
+{
+    banner("Fleet", "determinism: same seed, fresh fleet");
+    std::string first;
+    bool identical = true;
+    for (int trial = 0; trial < 2; ++trial) {
+        const std::string row = render();
+        std::printf("trial %d: %s\n", trial, row.c_str());
+        if (trial == 0)
+            first = row;
+        else
+            identical = row == first;
+    }
+    std::printf("byte-identical: %s\n", identical ? "yes" : "NO");
+    return identical;
+}
+
 } // namespace
 
 int
@@ -212,6 +238,18 @@ main(int argc, char **argv)
                 "to this path");
     args.finish();
 
+    // Attributes the tier's wall time to its sections: each lap
+    // prints the time since the previous one (or since here).
+    auto lap_start = std::chrono::steady_clock::now();
+    const auto lap = [&lap_start](const char *section) {
+        const auto now = std::chrono::steady_clock::now();
+        std::printf("[wall] %s: %.1f ms\n", section,
+                    std::chrono::duration<double, std::milli>(
+                        now - lap_start)
+                        .count());
+        lap_start = now;
+    };
+
     serving::CostModel cost_model = serving::CostModel::Exact;
     if (cost_name == "auto") {
         cost_model = multiturn ? serving::CostModel::Interp
@@ -255,6 +293,46 @@ main(int argc, char **argv)
             return 2;
         }
     }
+
+    // The --json run summary, one layout for every tier:
+    // tools/check_bench_regression.py compares events_per_sec
+    // against the committed BENCH_fleet.json in CI.  `extra` adds
+    // tier-specific keys ahead of peak RSS.  True on success or
+    // when no summary was asked for.
+    const auto write_summary =
+        [&](std::string tier, std::uint64_t fleet_size,
+            const std::string &policy, const LoopMeter &meter,
+            const std::function<void(JsonObject &)> &extra = {}) {
+            if (json_path.empty())
+                return true;
+            if (smoke)
+                tier += "-smoke";
+            JsonObject json;
+            json.set("bench", "bench_fleet");
+            json.set("tier", tier);
+            json.set("model", "OPT-13B");
+            json.set("cost_model",
+                     serving::costModelName(cost_model));
+            json.setU64("replicas", fleet_size);
+            json.setU64("requests", requests);
+            json.setF64("rate_per_sec", rate);
+            json.setU64("seed", seed);
+            json.set("scenario", scenario_name);
+            json.set("policy", policy);
+            json.setU64("events", meter.events);
+            json.setF64("loop_ms", meter.seconds * 1e3);
+            json.setF64("calibration_ms",
+                        meter.calibrationSeconds * 1e3);
+            json.setF64("events_per_sec",
+                        meter.seconds > 0.0
+                            ? static_cast<double>(meter.events) /
+                                  meter.seconds
+                            : 0.0);
+            if (extra)
+                extra(json);
+            json.setU64("peak_rss_kib", peakRssKib());
+            return json.writeFile(json_path);
+        };
 
     if (scenario_name == "multiturn") {
         // Multi-turn conversations are a closed loop — a follow-up
@@ -342,55 +420,19 @@ main(int argc, char **argv)
                     "the cached history outweighs the backlog "
                     "gap\n");
 
-        bool json_ok = true;
-        if (!json_path.empty()) {
-            std::string tier =
-                scale ? "multiturn-scale" : "multiturn";
-            if (smoke)
-                tier += "-smoke";
-            JsonObject json;
-            json.set("bench", "bench_fleet");
-            json.set("tier", tier);
-            json.set("model", "OPT-13B");
-            json.set("cost_model",
-                     serving::costModelName(cost_model));
-            json.setU64("replicas", sizes.front());
-            json.setU64("requests", requests);
-            json.setF64("rate_per_sec", rate);
-            json.setU64("seed", seed);
-            json.set("scenario", scenario_name);
-            json.set("policy", policy_name);
-            json.setU64("events", meter.events);
-            json.setF64("loop_ms", meter.seconds * 1e3);
-            json.setF64("calibration_ms",
-                        meter.calibrationSeconds * 1e3);
-            json.setF64("events_per_sec",
-                        meter.seconds > 0.0
-                            ? static_cast<double>(meter.events) /
-                                  meter.seconds
-                            : 0.0);
-            json.setU64("peak_rss_kib", peakRssKib());
-            json_ok = json.writeFile(json_path);
-        }
+        lap("multiturn");
+        const bool json_ok = write_summary(
+            scale ? "multiturn-scale" : "multiturn", sizes.front(),
+            policy_name, meter);
 
-        banner("Fleet", "determinism: same seed, fresh fleet");
-        std::string first;
-        bool identical = true;
-        for (int trial = 0; trial < 2; ++trial) {
+        const bool identical = sameSeedTwice([&] {
             const auto report =
                 run_control(sizes.front(), "affinity");
-            const std::string row =
-                fleetRow(report) + " e2eP99=" +
-                TextTable::num(
-                    fleet::latencyPercentile(report, 99.0), 4);
-            std::printf("trial %d: %s\n", trial, row.c_str());
-            if (trial == 0)
-                first = row;
-            else
-                identical = row == first;
-        }
-        std::printf("byte-identical: %s\n",
-                    identical ? "yes" : "NO");
+            return fleetRow(report) + " e2eP99=" +
+                   TextTable::num(
+                       fleet::latencyPercentile(report, 99.0), 4);
+        });
+        lap("determinism");
         return identical && json_ok ? 0 : 1;
     }
 
@@ -480,62 +522,31 @@ main(int argc, char **argv)
                     "bills each replica from activation to "
                     "retirement\n");
 
-        bool json_ok = true;
-        if (!json_path.empty()) {
-            JsonObject json;
-            json.set("bench", "bench_fleet");
-            json.set("tier",
-                     smoke ? "autoscale-smoke" : "autoscale");
-            json.set("model", "OPT-13B");
-            json.set("cost_model",
-                     serving::costModelName(cost_model));
-            json.setU64("replicas", 1);
-            json.setU64("requests", requests);
-            json.setF64("rate_per_sec", rate);
-            json.setU64("seed", seed);
-            json.set("scenario", scenario_name);
-            json.set("policy", "true-jsq+target-backlog");
-            json.setU64("events", meter.events);
-            json.setF64("loop_ms", meter.seconds * 1e3);
-            json.setF64("calibration_ms",
-                        meter.calibrationSeconds * 1e3);
-            json.setF64("events_per_sec",
-                        meter.seconds > 0.0
-                            ? static_cast<double>(meter.events) /
-                                  meter.seconds
-                            : 0.0);
-            // The autoscaling cost accounting: what the scaler
-            // run actually paid, so the frontier point is
-            // machine-readable alongside the kernel throughput.
-            json.setF64("replica_seconds", scaled.replicaSeconds);
-            json.setF64("cost_per_request",
-                        scaled.costPerRequest);
-            json.setU64("spawned_replicas",
-                        scaled.kernelStats.spawnedReplicas);
-            json.setU64("retired_replicas",
-                        scaled.kernelStats.retiredReplicas);
-            json.setU64("peak_rss_kib", peakRssKib());
-            json_ok = json.writeFile(json_path);
-        }
+        lap("autoscale");
+        // The autoscaling cost accounting: what the scaler run
+        // actually paid, so the frontier point is machine-readable
+        // alongside the kernel throughput.
+        const bool json_ok = write_summary(
+            "autoscale", 1, "true-jsq+target-backlog", meter,
+            [&](JsonObject &json) {
+                json.setF64("replica_seconds",
+                            scaled.replicaSeconds);
+                json.setF64("cost_per_request",
+                            scaled.costPerRequest);
+                json.setU64("spawned_replicas",
+                            scaled.kernelStats.spawnedReplicas);
+                json.setU64("retired_replicas",
+                            scaled.kernelStats.retiredReplicas);
+            });
 
-        banner("Fleet", "determinism: same seed, fresh fleet");
-        std::string first;
-        bool identical = true;
-        for (int trial = 0; trial < 2; ++trial) {
+        const bool identical = sameSeedTwice([&] {
             const auto report = run_scaled();
-            const std::string row =
-                fleetRow(report) + " rs=" +
-                TextTable::num(report.replicaSeconds, 4) +
-                " cost=" +
-                TextTable::num(report.costPerRequest, 6);
-            std::printf("trial %d: %s\n", trial, row.c_str());
-            if (trial == 0)
-                first = row;
-            else
-                identical = row == first;
-        }
-        std::printf("byte-identical: %s\n",
-                    identical ? "yes" : "NO");
+            return fleetRow(report) + " rs=" +
+                   TextTable::num(report.replicaSeconds, 4) +
+                   " cost=" +
+                   TextTable::num(report.costPerRequest, 6);
+        });
+        lap("determinism");
         return identical && json_ok ? 0 : 1;
     }
 
@@ -615,39 +626,10 @@ main(int argc, char **argv)
         "misses the deadline;\ntrue-jsq/least-backlog route on "
         "observed replica state at the arrival event\n");
 
-    bool json_ok = true;
-    if (!json_path.empty()) {
-        // Machine-readable mirror of the kernel-loop measurement;
-        // tools/check_bench_regression.py compares events_per_sec
-        // against the committed BENCH_fleet.json in CI.
-        std::string tier =
-            huge ? "huge" : (scale ? "scale" : "default");
-        if (smoke)
-            tier += "-smoke";
-        JsonObject json;
-        json.set("bench", "bench_fleet");
-        json.set("tier", tier);
-        json.set("model", "OPT-13B");
-        json.set("cost_model",
-                 serving::costModelName(cost_model));
-        json.setU64("replicas", sweep.fleetSizes.front());
-        json.setU64("requests", requests);
-        json.setF64("rate_per_sec", rate);
-        json.setU64("seed", seed);
-        json.set("scenario", scenario_name);
-        json.set("policy", policy_name);
-        json.setU64("events", meter.events);
-        json.setF64("loop_ms", meter.seconds * 1e3);
-        json.setF64("calibration_ms",
-                    meter.calibrationSeconds * 1e3);
-        json.setF64("events_per_sec",
-                    meter.seconds > 0.0
-                        ? static_cast<double>(meter.events) /
-                              meter.seconds
-                        : 0.0);
-        json.setU64("peak_rss_kib", peakRssKib());
-        json_ok = json.writeFile(json_path);
-    }
+    lap("sweep");
+    const bool json_ok = write_summary(
+        huge ? "huge" : (scale ? "scale" : "default"),
+        sweep.fleetSizes.front(), policy_name, meter);
     if (huge) {
         // The huge tier exists to prove the kernel completes a
         // million-request fleet; the policy-comparison sections
@@ -703,6 +685,7 @@ main(int argc, char **argv)
                  TextTable::num(report.sloAttainment, 3)});
         }
         steal_table.print();
+        lap("stealing");
 
         // Request lifecycle: priority preemption on an overloaded
         // bursty fleet (a quarter of the traffic is high priority;
@@ -746,6 +729,7 @@ main(int argc, char **argv)
                  TextTable::num(report.sloAttainment, 3)});
         }
         prio_table.print();
+        lap("preemption");
 
         banner("Fleet", "lifecycle: drain-migrate off a dead "
                         "replica (round-robin keeps feeding it)");
@@ -777,28 +761,18 @@ main(int argc, char **argv)
                      3)});
         }
         drain_table.print();
+        lap("drain-migrate");
     }
 
-    banner("Fleet", "determinism: same seed, fresh fleet");
     const auto scenario = sweep.scenarios.back();
-    const sched::RouterPolicy check_policy =
-        sweep.policies.front();
-    std::string first;
-    bool identical = true;
-    for (int trial = 0; trial < 2; ++trial) {
+    const bool identical = sameSeedTwice([&] {
         fleet::FleetSimulator simulator(
             fleetConfig(sweep, platform, sweep.fleetSizes.front(),
-                        check_policy),
+                        sweep.policies.front()),
             llm);
-        const std::string row =
-            fleetRow(simulator.run(
-                serving::generateWorkload(scenario)));
-        std::printf("trial %d: %s\n", trial, row.c_str());
-        if (trial == 0)
-            first = row;
-        else
-            identical = row == first;
-    }
-    std::printf("byte-identical: %s\n", identical ? "yes" : "NO");
+        return fleetRow(
+            simulator.run(serving::generateWorkload(scenario)));
+    });
+    lap("determinism");
     return identical && json_ok ? 0 : 1;
 }

@@ -23,17 +23,16 @@
  * every arrival with arrival <= t, exactly like the monolithic
  * serving loop it replaces.
  *
- * Since the million-request rework the queue is *sharded*: one
- * small binary heap per replica plus a lazy min-merge over the
- * replica heads, so a pop costs O(log(events-in-flight-per-replica)
- * + log(replicas)) instead of O(log(total-events)) on one huge
- * heap.  Only fleet-level events (replica < 0: arrivals, ticks,
- * resume-readies) need global ordering; the arrival trace — known
- * and sorted up front — bypasses heaps entirely through a presorted
- * stream consumed by a cursor.  The pop order is *identical* to the
- * single-heap order: the comparator defines a strict total order
- * (the insertion sequence is unique), so any correct merge yields
- * the same sequence, which a golden test pins byte for byte.
+ * The queue holds one binary heap for every pushed event beside a
+ * presorted stream for the arrival trace.  The trace is known and
+ * sorted before the run, so it is appended once and consumed by a
+ * cursor, never heapified; pop() is a two-way merge of the stream
+ * cursor against the heap top under the same total order.  Only
+ * in-flight events (ticks, resume-readies, and a few step, wake and
+ * done events per replica) ever sit in the heap, so it stays small
+ * even on a thousand-replica fleet.  The comparator is a strict
+ * total order (the insertion sequence is unique), so the pop order
+ * equals a stable sort of the push stream, which tests pin.
  */
 
 #ifndef HERMES_CORE_EVENT_SIM_HH
@@ -41,6 +40,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -145,11 +145,10 @@ struct EventStats
  * order documented in the file header and advances now(); pushing
  * an event earlier than now() is a kernel bug and panics.
  *
- * Internally sharded (see file header): call shard() + reserve()
- * before a large run so every heap is preallocated, and preload the
- * sorted arrival trace with reserveSorted() + pushSorted().  All of
- * that is optional — push()/pop() alone behave exactly like the
- * historical single heap.
+ * push() schedules into the one heap.  A trace whose events are all
+ * known up front and already sorted preloads through
+ * reserveSorted() + pushSorted() instead, which appends to the
+ * presorted stream; either way pop() yields the same order.
  */
 class EventQueue
 {
@@ -164,27 +163,11 @@ class EventQueue
      * nondecreasing (time, kind, id) order — the kernel bulk-loads
      * the arrival trace this way (the workload is sorted and event
      * ids are ascending workload indices).  Appending out of order
-     * panics.  pop() merges the stream against the heaps under the
+     * panics.  pop() merges the stream against the heap under the
      * full comparator, so the result is order-identical to having
      * push()ed every event.
      */
     void pushSorted(Seconds time, EventKind kind, std::uint64_t id);
-
-    /**
-     * Pre-create `replicas` subqueues so replica events shard
-     * without on-demand growth.  Pushing to a replica index beyond
-     * the shard count still works (the shard set grows).
-     */
-    void shard(std::uint32_t replicas);
-
-    /**
-     * Pre-reserve heap capacity for about `events` scheduled events
-     * so heap growth never reallocates mid-run.  Call after shard():
-     * the budget is spread over the replica subqueues (each holds
-     * only its replica's in-flight events, so the per-shard slice is
-     * capped), the head-merge heap, and the fleet-level heap.
-     */
-    void reserve(std::size_t events);
 
     /** Pre-reserve the presorted stream for `events` pushSorted(). */
     void reserveSorted(std::size_t events);
@@ -192,8 +175,13 @@ class EventQueue
     /** Pop the earliest event (queue must not be empty). */
     Event pop();
 
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
+    bool empty() const { return size() == 0; }
+
+    std::size_t
+    size() const
+    {
+        return sorted_.size() - sortedNext_ + heap_.size();
+    }
 
     /** Virtual clock: the time of the last popped event. */
     Seconds now() const { return now_; }
@@ -202,42 +190,19 @@ class EventQueue
     const EventStats &stats() const { return stats_; }
 
   private:
-    /** Min-heap over events (std::push_heap with "later than"). */
-    struct Heap
+    /** Heap predicate: a max-heap on "later" pops the earliest. */
+    struct Later
     {
-        std::vector<Event> events;
-
-        bool empty() const { return events.empty(); }
-        const Event &top() const { return events.front(); }
-        void reserve(std::size_t n) { events.reserve(n); }
-        void push(const Event &event);
-        void pop();
+        bool operator()(const Event &a, const Event &b) const;
     };
 
-    /** Subqueue for `replica`, growing the shard set on demand. */
-    Heap &replicaQueue(std::int32_t replica);
-
-    /** Drop head-merge entries whose event is no longer its
-     * subqueue's head (or was popped); `seq` is unique, so an exact
-     * match identifies the head event. */
-    void dropStaleHeads();
-
-    /**
-     * Fleet-level events: the presorted stream (consumed by cursor)
-     * plus a heap for events scheduled during the run (ticks,
-     * resume-readies).
-     */
+    /** The presorted stream, consumed by cursor. */
     std::vector<Event> sorted_;
     std::size_t sortedNext_ = 0;
-    Heap fleet_;
 
-    /** Per-replica subqueues and the lazy min-merge over their
-     * heads: heads_ holds candidate head events (possibly stale —
-     * validated against the subqueue top at pop time). */
-    std::vector<Heap> replica_;
-    Heap heads_;
+    /** Every push()ed event not yet popped. */
+    std::priority_queue<Event, std::vector<Event>, Later> heap_;
 
-    std::size_t size_ = 0;
     Seconds now_ = 0.0;
     std::uint64_t seq_ = 0;
     EventStats stats_;

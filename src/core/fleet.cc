@@ -394,15 +394,10 @@ class EventKernel final : public sched::FleetView,
             replica->reserveSession(expected);
         }
         report_.assignment.assign(workload_.size(), -1);
-        // Shard the event queue per replica and pre-reserve every
-        // heap from the trace size (about four events per request:
-        // arrival, prefill share, decode steps, done) so heap
-        // growth never reallocates mid-run.  The workload is sorted
-        // by arrival and the event id is the ascending workload
-        // index, so the whole trace preloads as a presorted stream
-        // — no heap at all for the dominant event kind.
-        queue_.shard(static_cast<std::uint32_t>(replicas_.size()));
-        queue_.reserve(workload_.size() * 4 + 64);
+        // The workload is sorted by arrival and the event id is
+        // the ascending workload index, so the whole trace preloads
+        // as a presorted stream — no heap for the dominant event
+        // kind.
         queue_.reserveSorted(workload_.size());
         if (sessions_ == nullptr) {
             for (std::size_t i = 0; i < workload_.size(); ++i)

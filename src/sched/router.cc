@@ -12,6 +12,20 @@
 #include "sched/control_policy.hh"
 
 namespace hermes::sched {
+namespace {
+
+/** Clamp a replica model into the range the routing math needs:
+ * at least one slot, a positive slot rate, no negative prefill. */
+void
+clampReplicaModel(ReplicaModel &model)
+{
+    model.maxBatch = std::max<std::uint32_t>(model.maxBatch, 1);
+    model.slotTokensPerSecond =
+        std::max(model.slotTokensPerSecond, 1.0e-9);
+    model.prefillSeconds = std::max(model.prefillSeconds, 0.0);
+}
+
+} // namespace
 
 std::string
 routerPolicyName(RouterPolicy policy)
@@ -66,10 +80,7 @@ Router::Router(RouterPolicy policy,
     state_.resize(replicas_.size());
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
         auto &model = replicas_[i];
-        model.maxBatch = std::max<std::uint32_t>(model.maxBatch, 1);
-        model.slotTokensPerSecond =
-            std::max(model.slotTokensPerSecond, 1.0e-9);
-        model.prefillSeconds = std::max(model.prefillSeconds, 0.0);
+        clampReplicaModel(model);
         state_[i].freeAt.assign(model.maxBatch, 0.0);
     }
 }
@@ -79,10 +90,7 @@ Router::addReplica(const ReplicaModel &model)
 {
     replicas_.push_back(model);
     ReplicaModel &added = replicas_.back();
-    added.maxBatch = std::max<std::uint32_t>(added.maxBatch, 1);
-    added.slotTokensPerSecond =
-        std::max(added.slotTokensPerSecond, 1.0e-9);
-    added.prefillSeconds = std::max(added.prefillSeconds, 0.0);
+    clampReplicaModel(added);
     state_.emplace_back();
     state_.back().freeAt.assign(added.maxBatch, 0.0);
 }

@@ -60,8 +60,9 @@ TEST(CalibrationStress, SharedCacheSessionWarmingHighThreads)
 {
     // Uniform fleet = one shared cost cache; warmSessionCosts fans
     // the distinct cost-surface cells of a known session trace out
-    // over the pool, each worker owning a private engine, results
-    // inserted sequentially afterwards.  Exercised in both cost
+    // over the pool by whole batch-bucket rows, each worker running
+    // its row on the cache's pooled row engine (one row per worker
+    // at a time), results inserted sequentially afterwards.  Exercised in both cost
     // models: Interp collapses the grid to anchor buckets, Exact
     // warms the cells themselves.
     const auto trace = serving::generateSessionWorkload(

@@ -152,18 +152,14 @@ TEST(EventSim, TicksCountInStatsAndSortAsFleetEvents)
     EXPECT_EQ(queue.stats().popped(), 3u);
 }
 
-TEST(EventSim, ShardedGoldenSequenceMatchesSingleHeapOrder)
+TEST(EventSim, GoldenSequenceMatchesStableSortOfPushes)
 {
-    // The sharded queue (per-replica subqueues + lazy min-merge)
-    // must pop the byte-identical sequence a single heap would:
-    // the comparator (time, replica, kind, id, seq) is a strict
+    // The comparator (time, replica, kind, id, seq) is a strict
     // total order, so we pin the pop order against a stable sort
     // of the push stream — which is exactly what any correct
-    // priority queue yields, sharded or not.
-    constexpr int kShards = 8;
+    // priority queue yields.
+    constexpr int kReplicas = 8;
     EventQueue queue;
-    queue.shard(kShards);
-    queue.reserve(512);
 
     struct Pushed
     {
@@ -195,7 +191,7 @@ TEST(EventSim, ShardedGoldenSequenceMatchesSingleHeapOrder)
         const std::int32_t replica =
             next() % 5 == 0
                 ? -1
-                : static_cast<std::int32_t>(next() % kShards);
+                : static_cast<std::int32_t>(next() % kReplicas);
         const EventKind kind =
             replica < 0 ? EventKind::Arrival : kinds[next() % 5];
         const std::uint64_t id = next() % 16;
@@ -228,7 +224,6 @@ TEST(EventSim, SortedStreamMergesWithHeapEvents)
     // cursor instead of the heap; the merge must still respect the
     // full total order against heap-side pushes.
     EventQueue queue;
-    queue.shard(2);
     queue.reserveSorted(3);
     queue.pushSorted(1.0, EventKind::Arrival, 0);
     queue.pushSorted(2.0, EventKind::Arrival, 1);
@@ -252,12 +247,96 @@ TEST(EventSim, SortedStreamMergesWithHeapEvents)
     EXPECT_EQ(ids, (std::vector<std::uint64_t>{0, 0, 0, 1, 2, 0}));
 }
 
+TEST(EventSim, InterleavedPushesMatchBruteForceMinimum)
+{
+    // Mirrors the kernel's use: the arrival trace is preloaded as
+    // the presorted stream, then every pop schedules follow-ups at
+    // or after now() for up to 65 replicas and the fleet itself,
+    // on a coarse time grid so most instants are heavily tied.
+    // Each pop must be the minimum of the pending set under
+    // (time, replica, kind, id, seq), found by a linear scan.
+    constexpr std::int32_t kReplicas = 65;
+    constexpr std::size_t kArrivals = 600;
+    constexpr std::size_t kPushes = 3000;
+    const EventKind replicaKinds[] = {
+        EventKind::RequestDone, EventKind::PrefillComplete,
+        EventKind::StepComplete, EventKind::Wake,
+        EventKind::ReplicaReady};
+    const EventKind fleetKinds[] = {EventKind::Tick,
+                                    EventKind::ResumeReady,
+                                    EventKind::SessionContinue};
+    const auto key = [](const Event &e) {
+        return std::tie(e.time, e.replica, e.kind, e.id, e.seq);
+    };
+
+    for (const std::uint64_t seed : {1ULL, 7ULL, 2024ULL}) {
+        std::uint64_t state = seed;
+        const auto next = [&state]() {
+            state = state * 6364136223846793005ULL +
+                    1442695040888963407ULL;
+            return state >> 33;
+        };
+
+        EventQueue queue;
+        std::vector<Event> pending;
+        std::uint64_t seq = 0;
+
+        queue.reserveSorted(kArrivals);
+        Seconds arrival = 0.0;
+        for (std::uint64_t id = 0; id < kArrivals; ++id) {
+            arrival += static_cast<Seconds>(next() % 3) * 0.25;
+            queue.pushSorted(arrival, EventKind::Arrival, id);
+            pending.push_back(
+                {arrival, EventKind::Arrival, -1, id, seq++});
+        }
+
+        std::size_t pushes = 0;
+        while (!pending.empty()) {
+            ASSERT_EQ(queue.size(), pending.size()) << seed;
+            const auto best = std::min_element(
+                pending.begin(), pending.end(),
+                [&key](const Event &a, const Event &b) {
+                    return key(a) < key(b);
+                });
+            const Event expected = *best;
+            *best = pending.back();
+            pending.pop_back();
+
+            const Event event = queue.pop();
+            ASSERT_EQ(key(event), key(expected))
+                << "seed " << seed << " pop "
+                << queue.stats().popped();
+            ASSERT_EQ(queue.now(), event.time);
+
+            const std::size_t burst = next() % 4;
+            for (std::size_t b = 0;
+                 b < burst && pushes < kPushes; ++b, ++pushes) {
+                const Seconds time =
+                    queue.now() +
+                    static_cast<Seconds>(next() % 4) * 0.25;
+                const auto replica =
+                    static_cast<std::int32_t>(
+                        next() % (kReplicas + 1)) -
+                    1;
+                const EventKind kind =
+                    replica < 0 ? fleetKinds[next() % 3]
+                                : replicaKinds[next() % 5];
+                const std::uint64_t id = next() % 8;
+                queue.push(time, kind, replica, id);
+                pending.push_back({time, kind, replica, id, seq++});
+            }
+        }
+        EXPECT_TRUE(queue.empty());
+        EXPECT_EQ(pushes, kPushes) << seed;
+        EXPECT_EQ(queue.stats().popped(), kArrivals + kPushes);
+    }
+}
+
 TEST(EventSim, PerKindCountersSumToPopped)
 {
     // popped() is a single counter bumped in pop(); the nine
     // per-kind counters must partition it exactly.
     EventQueue queue;
-    queue.shard(4);
     std::uint64_t state = 17;
     const auto next = [&state]() {
         state = state * 6364136223846793005ULL +
