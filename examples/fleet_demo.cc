@@ -34,35 +34,33 @@ class LongToFastestPolicy final : public sched::ControlPolicy
   public:
     std::string name() const override { return "long-to-fastest"; }
 
-    void begin(const sched::ControlContext &context) override
-    {
-        fastest_ = 0;
-        for (std::uint32_t r = 1; r < context.models.size(); ++r) {
-            if (context.models[r].slotTokensPerSecond >
-                context.models[fastest_].slotTokensPerSecond)
-                fastest_ = r;
-        }
-        next_ = 0;
-    }
+    void begin(const sched::ControlContext &) override { next_ = 0; }
 
     void onArrival(const sched::ArrivalContext &context,
                    const sched::FleetView &view,
                    sched::FleetActions &actions) override
     {
+        // Calibrated models are read live, so a replica spawned
+        // mid-run would be ranked too.
+        std::uint32_t fastest = 0;
+        for (std::uint32_t r = 1; r < view.replicaCount(); ++r) {
+            if (view.model(r).slotTokensPerSecond >
+                view.model(fastest).slotTokensPerSecond)
+                fastest = r;
+        }
         if (context.generateTokens >= 24 ||
             view.replicaCount() <= 1) {
-            actions.routeTo(fastest_);
+            actions.routeTo(fastest);
             return;
         }
         // Round-robin over the other replicas.
         std::uint32_t replica = next_++ % (view.replicaCount() - 1);
-        if (replica >= fastest_)
+        if (replica >= fastest)
             ++replica;
         actions.routeTo(replica);
     }
 
   private:
-    std::uint32_t fastest_ = 0;
     std::uint32_t next_ = 0;
 };
 

@@ -138,15 +138,6 @@ joinCostCacheGroup(
     }
 }
 
-/** A drain was requested: Retired is reachable only from Draining
- * (see EventKernel::maybeRetire). */
-bool
-drainRequested(sched::ReplicaLifecycle lifecycle)
-{
-    return lifecycle == sched::ReplicaLifecycle::Draining ||
-           lifecycle == sched::ReplicaLifecycle::Retired;
-}
-
 /**
  * Calibrate the router's view of one replica at the workload's
  * typical operating point, and warm its cost cache across the
@@ -198,11 +189,6 @@ calibrateReplicaModel(serving::ServingSimulator &simulator,
     model.prefillTokensPerSecond =
         static_cast<double>(shape.typicalPrompt) /
         std::max(model.prefillSeconds, 1.0e-12);
-    // One token, not the workload's median generate length: the
-    // target-backlog scaler, the only reader, is tuned to it and
-    // stops spawning on its pinned diurnal frontier with the
-    // median (see ROADMAP item 3).
-    model.typicalGenerateTokens = 1.0;
     // Warm the cost cache across the whole batch ramp at both the
     // workload-typical contexts and the workload maxima (heavy-
     // tailed prompt distributions put a few requests one context
@@ -383,7 +369,7 @@ class EventKernel final : public sched::FleetView,
     run()
     {
         control_.begin(
-            sched::ControlContext{models_, config_.ttftDeadline});
+            sched::ControlContext{config_.ttftDeadline});
         // Pre-reserve the per-replica session tables for a fair
         // share of the trace (a hint: stealing and skew can exceed
         // it) so bulk phases do not reallocate them mid-run.
@@ -532,12 +518,6 @@ class EventKernel final : public sched::FleetView,
         return models_.at(replica);
     }
 
-    std::uint32_t
-    maxBatch(std::uint32_t replica) const override
-    {
-        return specs_.at(replica).serving.maxBatch;
-    }
-
     bool
     busy(std::uint32_t replica) const override
     {
@@ -554,12 +534,6 @@ class EventKernel final : public sched::FleetView,
     knownDead(std::uint32_t replica) const override
     {
         return replicas_.at(replica)->knownDead();
-    }
-
-    bool
-    draining(std::uint32_t replica) const override
-    {
-        return drainRequested(lifecycle_.at(replica));
     }
 
     sched::ReplicaLifecycle
@@ -638,7 +612,7 @@ class EventKernel final : public sched::FleetView,
         if (replica >= replicas_.size())
             throw std::logic_error(
                 "FleetActions::routeTo: replica out of range");
-        if (drainRequested(lifecycle_[replica]))
+        if (sched::drainRequested(lifecycle_[replica]))
             throw std::logic_error(
                 "FleetActions::routeTo: replica is draining");
         if (lifecycle_[replica] != sched::ReplicaLifecycle::Active)
@@ -684,7 +658,7 @@ class EventKernel final : public sched::FleetView,
             throw std::logic_error(
                 "FleetActions::steal: thief cannot serve (dead "
                 "or unprobed) — it would strand the work");
-        if (drainRequested(lifecycle_[thief]))
+        if (sched::drainRequested(lifecycle_[thief]))
             throw std::logic_error(
                 "FleetActions::steal: thief is draining — it "
                 "accepts no new work");
@@ -746,7 +720,7 @@ class EventKernel final : public sched::FleetView,
         if (to_replica >= replicas_.size())
             throw std::logic_error(
                 "FleetActions::migrate: destination out of range");
-        if (drainRequested(lifecycle_[to_replica]))
+        if (sched::drainRequested(lifecycle_[to_replica]))
             throw std::logic_error(
                 "FleetActions::migrate: destination is draining — "
                 "it accepts no new work");
@@ -888,7 +862,7 @@ class EventKernel final : public sched::FleetView,
             throw std::logic_error(
                 "FleetActions::requestDrain: replica out of "
                 "range");
-        if (!drainRequested(lifecycle_[replica])) {
+        if (!sched::drainRequested(lifecycle_[replica])) {
             ++report_.kernelStats.drainRequests;
             lifecycle_[replica] = sched::ReplicaLifecycle::Draining;
             // An empty idle replica (or one drained mid-spawn,
@@ -1202,7 +1176,7 @@ class EventKernel final : public sched::FleetView,
      * spawned ones walk Provisioning → Warming → Active) and its
      * cost-accounting clock: the spawn instant, the retire instant
      * (-1 while alive), and the Warming phase's replay length.
-     * specs_ mirrors the construction parameters so maxBatch /
+     * specs_ mirrors the construction parameters so spawn /
      * migrate / replicaSpec lookups cover spawned replicas too.
      */
     std::vector<sched::ReplicaSpec> specs_;

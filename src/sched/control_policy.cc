@@ -34,58 +34,6 @@ replicaLifecycleName(ReplicaLifecycle lifecycle)
 namespace {
 
 /**
- * The six legacy routing behaviors as one adapter: every arrival is
- * answered by the calibrated Router, so decisions are bit-identical
- * to the pre-API kernel (same inputs, same float sequence).
- */
-class RouterControlPolicy final : public ControlPolicy
-{
-  public:
-    explicit RouterControlPolicy(RouterPolicy policy)
-        : policy_(policy)
-    {
-    }
-
-    std::string name() const override
-    {
-        return routerPolicyName(policy_);
-    }
-
-    void begin(const ControlContext &context) override
-    {
-        router_ = std::make_unique<Router>(
-            policy_, context.models, context.ttftDeadline);
-    }
-
-    void onArrival(const ArrivalContext &context,
-                   const FleetView &view,
-                   FleetActions &actions) override
-    {
-        if (!router_)
-            throw std::logic_error(
-                "RouterControlPolicy: onArrival before begin()");
-        // An autoscaler may have grown the fleet since begin():
-        // give the router an (empty) queueing model for every new
-        // replica.  The router masks replicas that are not Active
-        // itself (Router::route).
-        const std::uint32_t n = view.replicaCount();
-        while (router_->replicaCount() < n)
-            router_->addReplica(
-                view.model(router_->replicaCount()));
-        const int replica = router_->route(
-            context.arrival, context.generateTokens, view);
-        if (replica < 0)
-            actions.shed();
-        else
-            actions.routeTo(static_cast<std::uint32_t>(replica));
-    }
-
-  private:
-    RouterPolicy policy_;
-    std::unique_ptr<Router> router_;
-};
-
-/**
  * The legacy stealing hook, verbatim: deepest queue among stuck
  * (mid-step with a queue, or dead) victims, ceil(half), capped at
  * the thief's batch.
@@ -104,7 +52,8 @@ class GreedyStealPolicy final : public ControlPolicy
         (void)now;
         // Only a replica proven able to serve may steal; a dead (or
         // never-probed, or draining) replica would strand the work.
-        if (!view.knownServable(replica) || view.draining(replica))
+        if (!view.knownServable(replica) ||
+            drainRequested(view.lifecycle(replica)))
             return;
         const std::uint32_t n = view.replicaCount();
         std::uint32_t victim = n;
@@ -127,7 +76,7 @@ class GreedyStealPolicy final : public ControlPolicy
         if (victim == n || deepest == 0)
             return;
         const std::uint32_t cap =
-            std::max<std::uint32_t>(view.maxBatch(replica), 1);
+            std::max<std::uint32_t>(view.model(replica).maxBatch, 1);
         actions.steal(replica, victim,
                       std::min((deepest + 1) / 2, cap));
     }
@@ -150,7 +99,8 @@ class SloStealPolicy final : public ControlPolicy
                        FleetActions &actions) override
     {
         (void)now;
-        if (!view.knownServable(replica) || view.draining(replica))
+        if (!view.knownServable(replica) ||
+            drainRequested(view.lifecycle(replica)))
             return;
         const std::uint32_t n = view.replicaCount();
         std::uint32_t victim = n;
@@ -185,7 +135,7 @@ class SloStealPolicy final : public ControlPolicy
         if (thief_ttft >= worst_wait)
             return;
         const std::uint32_t cap =
-            std::max<std::uint32_t>(view.maxBatch(replica), 1);
+            std::max<std::uint32_t>(view.model(replica).maxBatch, 1);
         actions.steal(replica, victim,
                       std::min((victim_queued + 1) / 2, cap));
     }
@@ -256,7 +206,7 @@ class PriorityPreemptPolicy final : public ControlPolicy
         // A free slot means the queue head is admitted at this very
         // boundary anyway — nothing to evict for.
         if (running.empty() ||
-            running.size() < view.maxBatch(replica))
+            running.size() < view.model(replica).maxBatch)
             return;
         const std::vector<serving::RequestInfo> queued =
             view.queuedRequests(replica);
@@ -346,7 +296,7 @@ class DrainMigratePolicy final : public ControlPolicy
         // deliveries reach it (it never starts work), so routing
         // policies that keep feeding it are drained continually.
         (void)now;
-        if (view.knownDead(replica) || view.draining(replica))
+        if (view.knownDead(replica) || drainRequested(view.lifecycle(replica)))
             evacuateQueued(replica, view, actions);
     }
 
@@ -362,7 +312,7 @@ class DrainMigratePolicy final : public ControlPolicy
                         FleetActions &actions) override
     {
         (void)now;
-        if (!view.draining(replica) || view.busy(replica))
+        if (!drainRequested(view.lifecycle(replica)) || view.busy(replica))
             return;
         // The draining replica is at a decode boundary: hand its
         // running requests (KV included) to healthy replicas, then
@@ -572,22 +522,21 @@ class TargetBacklogScalerPolicy final : public ControlPolicy
         // tokens per second.  Each admission group of maxBatch
         // requests pays one joint prefill before its G decode
         // steps, so the sustained rate is mb*G/(prefill + G*step),
-        // which on prefill-heavy workloads is several times below
-        // the raw full-batch step rate slot*mb.  Fall back to the
-        // raw rate when the model carries no calibrated generate
-        // length (hand-built models predate the field).
-        double rate = slot * batch;
-        if (model.typicalGenerateTokens > 0.0) {
-            const double g = model.typicalGenerateTokens;
-            rate = batch * g /
-                   (std::max(model.prefillSeconds, 0.0) + g / slot);
-        }
+        // several times below the raw full-batch step rate slot*mb
+        // on prefill-heavy workloads.  G is one token, not the
+        // workload's median generate length: the scaler is tuned to
+        // it and stops spawning on its pinned diurnal frontier with
+        // the median (see ROADMAP item 3).
+        const double rate =
+            batch / (std::max(model.prefillSeconds, 0.0) + 1.0 / slot);
         // Replicas needed to drain the backlog within one deadline
-        // window at the reference replica's sustained rate.
-        const std::uint32_t desired = std::clamp<std::uint32_t>(
-            static_cast<std::uint32_t>(
-                std::ceil(backlog / (rate * deadline_))),
-            kMinReplicas, kMaxReplicas);
+        // window at the reference replica's sustained rate, clamped
+        // before the integer conversion: a dead-calibrated model's
+        // near-zero rate puts the quotient far past 2^32.
+        const auto desired = static_cast<std::uint32_t>(std::clamp(
+            std::ceil(backlog / (rate * deadline_)),
+            static_cast<double>(kMinReplicas),
+            static_cast<double>(kMaxReplicas)));
 
         if (desired > provisioned) {
             downTicks_ = 0;
@@ -772,12 +721,6 @@ CompositeControlPolicy::onTick(Seconds now, const FleetView &view,
         if (child->wants() & kTick)
             child->onTick(now, view, actions);
     }
-}
-
-std::shared_ptr<ControlPolicy>
-makeRouterPolicy(RouterPolicy policy)
-{
-    return std::make_shared<RouterControlPolicy>(policy);
 }
 
 std::shared_ptr<ControlPolicy>

@@ -31,16 +31,19 @@
  * The wants() bitmask is both a subscription list and a capability
  * grant: the kernel never calls hooks the policy did not subscribe
  * to, and the lifecycle verbs throw without their bit.  FleetView's
- * live probes are a policy's only read surface for replica state.
+ * live probes, calibrated replica models included, are a policy's
+ * only read surface for replica state.  Whatever a policy derives
+ * from them across hooks — the estimate routers' backlog model, a
+ * scaler's hysteresis counters — it owns, and begin() resets.
  *
- * All six RouterPolicy behaviors and the occupancy-greedy stealing
- * heuristic are built-in ControlPolicy implementations behind a
- * name registry (controlPolicyByName, mirroring engineKindByName);
- * FleetConfig::control is the only way a fleet is configured, and
- * fleet::uniformFleet fills it with makeRouterPolicy.  The first
- * policy a bare RouterPolicy enum could not express is SloStealPolicy ("slo-steal"):
- * steal only when the thief's estimated TTFT for the stolen request
- * beats the victim's.
+ * All six RouterPolicy behaviors (sched/router.hh) and the
+ * occupancy-greedy stealing heuristic are built-in ControlPolicy
+ * implementations behind a name registry (controlPolicyByName,
+ * mirroring engineKindByName); FleetConfig::control is the only way
+ * a fleet is configured, and fleet::uniformFleet fills it with
+ * makeRouterPolicy.  The first policy a bare RouterPolicy enum could
+ * not express is SloStealPolicy ("slo-steal"): steal only when the
+ * thief's estimated TTFT for the stolen request beats the victim's.
  */
 
 #ifndef HERMES_SCHED_CONTROL_POLICY_HH
@@ -86,6 +89,17 @@ enum class ReplicaLifecycle : std::uint8_t
 std::string replicaLifecycleName(ReplicaLifecycle lifecycle);
 
 /**
+ * A drain was requested: the replica accepts no new routes.  Retired
+ * is reachable only from Draining.
+ */
+inline bool
+drainRequested(ReplicaLifecycle lifecycle)
+{
+    return lifecycle == ReplicaLifecycle::Draining ||
+           lifecycle == ReplicaLifecycle::Retired;
+}
+
+/**
  * Everything needed to stand up one replica mid-run: the hardware
  * system, the serving configuration, and the modeled provisioning
  * latency paid before warm-up begins.  A scaler typically clones an
@@ -117,11 +131,11 @@ class FleetView
 
     virtual std::uint32_t replicaCount() const = 0;
 
-    /** The router-calibrated queueing model of a replica. */
+    /**
+     * The calibrated queueing model of a replica (maxBatch >= 1),
+     * spawned replicas included.
+     */
     virtual const ReplicaModel &model(std::uint32_t replica) const = 0;
-
-    /** Continuous-batching slot count of a replica. */
-    virtual std::uint32_t maxBatch(std::uint32_t replica) const = 0;
 
     /** Whether a prefill or decode step is in flight right now. */
     virtual bool busy(std::uint32_t replica) const = 0;
@@ -131,9 +145,6 @@ class FleetView
 
     /** Capability probe ran and failed (replica is dead). */
     virtual bool knownDead(std::uint32_t replica) const = 0;
-
-    /** A drain was requested; the replica accepts no new routes. */
-    virtual bool draining(std::uint32_t replica) const = 0;
 
     /** Lifecycle state (spawned replicas walk the whole machine). */
     virtual ReplicaLifecycle
@@ -320,16 +331,13 @@ struct ArrivalContext
     std::uint64_t sessionId = 0;
 };
 
-/** Per-run binding handed to ControlPolicy::begin(). */
+/**
+ * Per-run binding handed to ControlPolicy::begin().  Replica state,
+ * calibrated models included, is read live through the FleetView
+ * every hook receives.
+ */
 struct ControlContext
 {
-    /**
-     * Calibrated queueing model of every configured replica, fleet
-     * order.  Replicas spawned mid-run are not in it; a hook reads
-     * any replica's model through FleetView::model.
-     */
-    std::vector<ReplicaModel> models;
-
     Seconds ttftDeadline = 0.0;
 };
 
@@ -493,9 +501,12 @@ class CompositeControlPolicy : public ControlPolicy
 };
 
 /**
- * A routing policy over the calibrated Router (sched/router.hh):
- * the six RouterPolicy behaviors as ControlPolicy objects, and what
- * fleet::uniformFleet installs as FleetConfig::control.
+ * A built-in routing policy (sched/router.hh): the six RouterPolicy
+ * behaviors as ControlPolicy objects, and what fleet::uniformFleet
+ * installs as FleetConfig::control.  The estimate policies own their
+ * per-replica backlog model and read replica models live through
+ * FleetView::model, so replicas spawned mid-run are routed like
+ * configured ones once Active.
  */
 std::shared_ptr<ControlPolicy> makeRouterPolicy(RouterPolicy policy);
 

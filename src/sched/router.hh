@@ -1,13 +1,7 @@
 /**
  * @file
- * Fleet request router: pick a replica for each arriving request.
- *
- * The router sees arrivals in time order and holds a lightweight
- * queueing model of every replica (batch slots with estimated
- * free-times, calibrated prefill latency and per-slot decode rate).
- * Each decision commits the request to the chosen replica's model, so
- * later decisions see the backlog earlier ones created — an online
- * router, not an offline partitioner.
+ * Fleet request routing: the six built-in routing policies and the
+ * calibrated replica model the estimate policies rank by.
  *
  * Policies:
  *  - RoundRobin: static interleave, ignores state;
@@ -24,23 +18,33 @@
  *    (actual occupancy / actual token backlog), read live from the
  *    fleet's FleetView at the arrival instant.
  *
+ * Each policy is a ControlPolicy built by `makeRouterPolicy`
+ * (sched/control_policy.hh) and installed through
+ * `FleetConfig::control`, e.g. with `controlPolicyByName`.  The
+ * three estimate policies own a lightweight queueing model of every
+ * replica: batch slots with estimated free-times, the last
+ * joint-prefill window, and the requests routed there that have not
+ * yet estimated-finished.  The policy sees arrivals in time order;
+ * each arrival first prunes every replica's drained requests, and
+ * each decision commits the request to the chosen replica's model,
+ * so later decisions see the backlog earlier ones created — an
+ * online router, not an offline partitioner.  Round-robin keeps
+ * only its cursor; the feedback policies keep nothing.
+ *
  * The model is an estimate: the replica's own ServingSimulator run
  * remains the ground truth for timing.  Estimates only decide *where*
  * a request goes (and, for SloAware, *whether* it is admitted); the
  * feedback policies replace the estimate with ground truth at the
  * decision instant, closing the loop the estimate approximates.
  *
- * The Router is the calibrated *estimator* behind the built-in
- * routing ControlPolicy objects (sched/control_policy.hh); a fleet
- * is configured through `FleetConfig::control`, e.g. with
- * `controlPolicyByName` or `makeRouterPolicy`.
- *
- * Calibration probes go through ServingSimulator's cost surface, so
- * the router automatically shares whatever cost model the replica is
- * configured with (ServingConfig::costModel): under the interpolated
- * model its estimates are built from the same anchor surface the
- * kernel serves steps from, and the shared per-cache-group cost
- * cache means probing N replicas of one group costs one calibration.
+ * The estimates read each replica's ReplicaModel live through
+ * FleetView::model.  The fleet calibrates it through
+ * ServingSimulator's cost surface, so the router automatically
+ * shares whatever cost model the replica is configured with
+ * (ServingConfig::costModel): under the interpolated model its
+ * estimates are built from the same anchor surface the kernel serves
+ * steps from, and the shared per-cache-group cost cache means
+ * probing N replicas of one group costs one calibration.
  */
 
 #ifndef HERMES_SCHED_ROUTER_HH
@@ -53,8 +57,6 @@
 #include "common/units.hh"
 
 namespace hermes::sched {
-
-class FleetView;
 
 /** Replica-selection policy of the fleet router. */
 enum class RouterPolicy
@@ -104,130 +106,6 @@ struct ReplicaModel
      * backlog tokens 1:1.
      */
     double prefillTokensPerSecond = 2560.0;
-
-    /**
-     * Median generate length of the calibration workload, in
-     * tokens.  Lets capacity planners amortize the joint prefill
-     * over a request's decode phase: a full admission group pays
-     * prefillSeconds once before emitting maxBatch tokens per
-     * decode step, so the *sustained* drain rate is
-     * maxBatch * G / (prefillSeconds + G / slotTokensPerSecond),
-     * far below slotTokensPerSecond * maxBatch on prefill-heavy
-     * workloads.  Zero means uncalibrated — consumers fall back to
-     * the raw full-batch step rate.
-     */
-    double typicalGenerateTokens = 0.0;
-};
-
-/**
- * Online router over a fixed replica set.  Feed arrivals in
- * non-decreasing arrival order; every accepted request updates the
- * internal backlog estimate of its replica.
- */
-class Router
-{
-  public:
-    /**
-     * @param ttft_deadline  SloAware shedding threshold; ignored by
-     *                       the other policies (they never shed).
-     */
-    Router(RouterPolicy policy, std::vector<ReplicaModel> replicas,
-           Seconds ttft_deadline = 2.0);
-
-    /**
-     * Route one request arriving at `arrival`; returns the chosen
-     * replica, or -1 when the request is shed.  `view` is the
-     * fleet's live read surface and must cover every routed
-     * replica.  Only replicas whose view.lifecycle() is Active are
-     * ranked — how the control plane masks replicas that exist but
-     * are not routable (still provisioning or warming after an
-     * autoscaler spawn, draining, retired); with none Active the
-     * request is shed.  The feedback policies (TrueJsq,
-     * LeastActualBacklog) rank by the view's observedOutstanding /
-     * observedBacklogTokens; every other policy ranks by the
-     * router's own estimate.
-     */
-    int route(Seconds arrival, std::uint32_t generate_tokens,
-              const FleetView &view);
-
-    /**
-     * Append a replica to the routed set with an empty queueing
-     * model — how the control plane keeps the router in sync when
-     * an autoscaler spawns a replica mid-run.  Existing replicas'
-     * committed backlogs are untouched, so decisions over the old
-     * set stay bit-identical.
-     */
-    void addReplica(const ReplicaModel &model);
-
-    std::uint32_t replicaCount() const
-    {
-        return static_cast<std::uint32_t>(replicas_.size());
-    }
-
-  private:
-    /** Outstanding (routed, not estimated-finished) requests. */
-    std::uint32_t outstandingRequests(std::uint32_t replica,
-                                      Seconds now) const;
-
-    /**
-     * Estimated backlog of a replica in tokens at `now`: committed
-     * generate-tokens not yet produced, draining linearly over each
-     * request's estimated decode interval.  Deliberately NOT
-     * speed-normalized — least-outstanding-tokens measures work
-     * queued, and slower replicas shed load by draining it slower.
-     */
-    double outstandingTokens(std::uint32_t replica,
-                             Seconds now) const;
-
-    struct Commitment
-    {
-        Seconds decodeStart = 0.0; ///< Prefill done, tokens flowing.
-        Seconds finish = 0.0;
-        double tokens = 0.0;
-    };
-
-    struct SlotState
-    {
-        /** Per batch slot: estimated instant the slot frees. */
-        std::vector<Seconds> freeAt;
-
-        /** Routed requests still draining (pruned lazily). */
-        std::vector<Commitment> commitments;
-
-        /** Start of the last joint-prefill window charged. */
-        Seconds lastPrefillStart = -1.0;
-
-        /** Requests sharing that window. */
-        std::uint32_t groupSize = 0;
-
-        /**
-         * Slots that were free when the window formed: the serving
-         * simulator admits a group only into free batch slots, so a
-         * cold replica groups up to maxBatch while a backlogged one
-         * (slots freeing one by one) prefills almost per-request.
-         */
-        std::uint32_t groupCapacity = 0;
-    };
-
-    /** Whether a request arriving now would share the last window. */
-    bool joinsGroup(const SlotState &state, Seconds arrival) const
-    {
-        return arrival <= state.lastPrefillStart &&
-               state.groupSize < state.groupCapacity;
-    }
-
-    /** Estimated TTFT if `arrival` were routed to `replica` now. */
-    Seconds estimateTtft(std::uint32_t replica, Seconds arrival) const;
-
-    /** Commit a request to a replica's backlog model. */
-    void commit(std::uint32_t replica, Seconds arrival,
-                std::uint32_t generate_tokens);
-
-    RouterPolicy policy_;
-    std::vector<ReplicaModel> replicas_;
-    std::vector<SlotState> state_;
-    Seconds deadline_;
-    std::uint64_t routed_ = 0; ///< RoundRobin cursor.
 };
 
 } // namespace hermes::sched

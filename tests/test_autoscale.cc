@@ -19,6 +19,7 @@
 #include "core/fleet.hh"
 #include "core/hermes.hh"
 #include "core/workload.hh"
+#include "fake_fleet.hh"
 #include "fleet_invariants.hh"
 
 namespace hermes::fleet {
@@ -374,14 +375,14 @@ TEST(Autoscale, DrainingSpawnedReplicaEvacuatesWorkWithItsKv)
                 view.observedOutstanding(static_cast<std::uint32_t>(
                     spawned_)) >= 3;
             if (loaded &&
-                !view.draining(
-                    static_cast<std::uint32_t>(spawned_))) {
+                !sched::drainRequested(view.lifecycle(
+                    static_cast<std::uint32_t>(spawned_)))) {
                 actions.requestDrain(
                     static_cast<std::uint32_t>(spawned_));
             }
             if (spawned_ >= 0 &&
-                view.draining(
-                    static_cast<std::uint32_t>(spawned_))) {
+                sched::drainRequested(view.lifecycle(
+                    static_cast<std::uint32_t>(spawned_)))) {
                 actions.routeTo(0);
                 return;
             }
@@ -412,144 +413,6 @@ TEST(Autoscale, DrainingSpawnedReplicaEvacuatesWorkWithItsKv)
 
 // ---- Scaler-policy unit behavior over a fake fleet ----------------
 
-/** A scriptable FleetView: per-replica state set by the test. */
-class FakeFleetView final : public sched::FleetView
-{
-  public:
-    struct Replica
-    {
-        sched::ReplicaModel model;
-        sched::ReplicaLifecycle lifecycle =
-            sched::ReplicaLifecycle::Active;
-        bool dead = false;
-        std::uint32_t outstanding = 0;
-        double backlogTokens = 0.0;
-        std::uint64_t cachedTokens = 0; ///< For session 1.
-        bool busy = false;
-        std::vector<serving::RequestInfo> running{};
-        std::vector<serving::RequestInfo> queued{};
-    };
-
-    std::vector<Replica> replicas;
-
-    std::uint32_t replicaCount() const override
-    {
-        return static_cast<std::uint32_t>(replicas.size());
-    }
-    const sched::ReplicaModel &
-    model(std::uint32_t replica) const override
-    {
-        return replicas[replica].model;
-    }
-    std::uint32_t maxBatch(std::uint32_t replica) const override
-    {
-        return replicas[replica].model.maxBatch;
-    }
-    bool busy(std::uint32_t replica) const override
-    {
-        return replicas[replica].busy;
-    }
-    bool knownServable(std::uint32_t replica) const override
-    {
-        return !replicas[replica].dead;
-    }
-    bool knownDead(std::uint32_t replica) const override
-    {
-        return replicas[replica].dead;
-    }
-    bool draining(std::uint32_t replica) const override
-    {
-        return replicas[replica].lifecycle ==
-               sched::ReplicaLifecycle::Draining;
-    }
-    sched::ReplicaLifecycle
-    lifecycle(std::uint32_t replica) const override
-    {
-        return replicas[replica].lifecycle;
-    }
-    sched::ReplicaSpec
-    replicaSpec(std::uint32_t) const override
-    {
-        return sched::ReplicaSpec{};
-    }
-    std::uint32_t queuedCount(std::uint32_t replica) const override
-    {
-        return replicas[replica].outstanding;
-    }
-    std::uint32_t
-    observedOutstanding(std::uint32_t replica) const override
-    {
-        return replicas[replica].outstanding;
-    }
-    double
-    observedBacklogTokens(std::uint32_t replica) const override
-    {
-        return replicas[replica].backlogTokens;
-    }
-    std::vector<serving::RequestInfo>
-    runningRequests(std::uint32_t replica) const override
-    {
-        return replicas[replica].running;
-    }
-    std::vector<serving::RequestInfo>
-    queuedRequests(std::uint32_t replica) const override
-    {
-        return replicas[replica].queued;
-    }
-    serving::RequestState
-    requestState(std::uint32_t, std::uint64_t) const override
-    {
-        return serving::RequestState::Unknown;
-    }
-    std::uint64_t
-    cachedSessionTokens(std::uint32_t replica,
-                        std::uint64_t session) const override
-    {
-        return session == 1 ? replicas[replica].cachedTokens : 0;
-    }
-    Seconds ttftDeadline() const override { return 2.0; }
-};
-
-/** Records every action; each verb's calls are assertion targets. */
-class RecordingActions final : public sched::FleetActions
-{
-  public:
-    std::vector<std::uint32_t> routes;
-    std::vector<sched::ReplicaSpec> spawns;
-    std::vector<std::uint32_t> drains;
-    std::vector<std::uint32_t> stealThieves;
-    std::vector<std::uint64_t> preempted;
-    std::uint32_t sheds = 0;
-
-    void routeTo(std::uint32_t replica) override
-    {
-        routes.push_back(replica);
-    }
-    void shed() override { ++sheds; }
-    std::uint32_t steal(std::uint32_t thief, std::uint32_t,
-                        std::uint32_t) override
-    {
-        stealThieves.push_back(thief);
-        return 0;
-    }
-    void preempt(std::uint32_t, std::uint64_t id) override
-    {
-        preempted.push_back(id);
-    }
-    void migrate(std::uint64_t, std::uint32_t) override {}
-    std::uint32_t
-    spawnReplica(const sched::ReplicaSpec &spec) override
-    {
-        spawns.push_back(spec);
-        return 0;
-    }
-    void requestSpawn() override {}
-    void requestDrain(std::uint32_t replica) override
-    {
-        drains.push_back(replica);
-    }
-};
-
 sched::ReplicaModel
 unitModel()
 {
@@ -569,7 +432,6 @@ TEST(Autoscale, ScalerSpawnsWithHysteresisAndCooldown)
     EXPECT_GT(scaler->tickPeriod(), 0.0);
 
     sched::ControlContext context;
-    context.models = {unitModel()};
     context.ttftDeadline = 2.0;
     scaler->begin(context);
 
@@ -578,8 +440,9 @@ TEST(Autoscale, ScalerSpawnsWithHysteresisAndCooldown)
                              sched::ReplicaLifecycle::Active,
                              false, 4, 400.0, 0});
 
-    // Backlog 400 over drain rate 40 * deadline 2 wants 5 replicas,
-    // but hysteresis requires two agreeing ticks before acting.
+    // Backlog 400 over the sustained drain rate 4 / (0.05 + 0.1)
+    // = 26.7 tokens/s * deadline 2 wants 8 replicas, but hysteresis
+    // requires two agreeing ticks before acting.
     RecordingActions actions;
     scaler->onTick(1.0, view, actions);
     EXPECT_TRUE(actions.spawns.empty());
@@ -597,7 +460,6 @@ TEST(Autoscale, ScalerDrainsLeastLoadedButNeverTheLastActive)
 {
     auto scaler = sched::makeTargetBacklogPolicy();
     sched::ControlContext context;
-    context.models = {unitModel(), unitModel()};
     context.ttftDeadline = 2.0;
     scaler->begin(context);
 
@@ -639,7 +501,6 @@ TEST(Autoscale, AffinityConvertsCachedTokensThroughThePrefillRate)
     // (cached >= gap) would stick far more eagerly.
     auto affinity = sched::makeAffinityPolicy();
     sched::ControlContext context;
-    context.models = {unitModel(), unitModel()};
     context.ttftDeadline = 2.0;
     affinity->begin(context);
 
@@ -674,9 +535,8 @@ TEST(Autoscale, AffinityConvertsCachedTokensThroughThePrefillRate)
 
 // ---- Replicas spawned after begin() ------------------------------
 //
-// begin() hands a policy the models of the configured fleet only.
 // A replica spawned mid-run exists only in the live FleetView, so a
-// policy that indexed a begin()-time copy by its index would read
+// policy that indexed a begin()-time copy of the models would read
 // past the end.  Each test runs the same decision twice, changing
 // only the spawned replica's view.model(), and pins that the
 // decision follows it.
@@ -685,7 +545,6 @@ TEST(Autoscale, SloStealReadsASpawnedThiefsModelLive)
 {
     auto policy = sched::makeSloStealPolicy();
     sched::ControlContext context;
-    context.models = {unitModel(), unitModel()};
     context.ttftDeadline = 2.0;
     policy->begin(context);
 
@@ -722,7 +581,6 @@ TEST(Autoscale, PriorityPreemptReadsASpawnedReplicasModelLive)
 {
     auto policy = sched::makePriorityPreemptPolicy();
     sched::ControlContext context;
-    context.models = {unitModel(), unitModel()};
     context.ttftDeadline = 2.0;
     policy->begin(context);
 

@@ -824,7 +824,7 @@ TEST(ControlPlane, AutoscalingIntentsAreRecorded)
                        const sched::FleetView &view,
                        sched::FleetActions &actions) override
         {
-            if (!view.draining(1)) {
+            if (!sched::drainRequested(view.lifecycle(1))) {
                 actions.requestDrain(1);
                 actions.requestSpawn();
             }
@@ -1172,9 +1172,10 @@ TEST(Lifecycle, DrainMigrateEvacuatesRunningWorkWithItsKv)
                        const sched::FleetView &view,
                        sched::FleetActions &actions) override
         {
-            if (context.requestId >= 4 && !view.draining(1))
+            if (context.requestId >= 4 &&
+                !sched::drainRequested(view.lifecycle(1)))
                 actions.requestDrain(1);
-            actions.routeTo(view.draining(1)
+            actions.routeTo(sched::drainRequested(view.lifecycle(1))
                                 ? 0
                                 : static_cast<std::uint32_t>(
                                       context.requestId % 2));
@@ -1293,7 +1294,7 @@ TEST(Lifecycle, IllegalLifecycleActionsThrow)
                        const sched::FleetView &view,
                        sched::FleetActions &actions) override
         {
-            if (!view.draining(1))
+            if (!sched::drainRequested(view.lifecycle(1)))
                 actions.requestDrain(1);
             (void)context;
             actions.routeTo(0);
